@@ -25,8 +25,12 @@ Cost model used by the queue layer:
 
 Counters are injectable: everything charges through an IoAccount, and tests
 can hand each structure its own account or temporarily suspend charging.
-Counter updates and the pin table are guarded by a lock so concurrent
-readers of shared versions can charge safely.
+
+An account is used by one thread at a time. Its open operation, nesting
+depth, suspension count and pin table are plain attributes with no locking.
+Entering an operation or a suspended scope claims the account for the
+calling thread; that thread may nest further scopes, while any other thread
+that tries to enter one before the claim ends gets RuntimeError.
 """
 
 from __future__ import annotations
@@ -40,12 +44,6 @@ __all__ = [
     "IoCounters",
     "IoAccount",
     "PinError",
-    "charge_record_load",
-    "charge_record_store",
-    "pin",
-    "unpin",
-    "snapshot",
-    "reset",
 ]
 
 
@@ -142,7 +140,10 @@ class _OpScope:
 
 
 class IoAccount:
-    """One ledger shared by a family of queues or one index instance."""
+    """One ledger shared by a family of queues or one index instance.
+
+    Used by one thread at a time; see the module docstring.
+    """
 
     def __init__(self, cfg: IoConfig, counters: IoCounters | None = None):
         self.cfg = cfg
@@ -153,8 +154,10 @@ class IoAccount:
         self._registry: dict[int, int] = {}
         self._pinned: dict[int, int] = {}
         self._pinned_words = 0
-        self._lock = threading.Lock()
-        self._tls = threading.local()
+        self._op: _OpScope | None = None
+        self._depth = 0
+        self._suspend = 0
+        self._owner = threading.RLock()
 
     # -- registry and pins ------------------------------------------------
 
@@ -163,23 +166,22 @@ class IoAccount:
 
     def pin(self, handle: int) -> None:
         """Mark a record as memory-resident. Flags (not raises) if pins exceed M."""
-        with self._lock:
-            if handle not in self._registry:
-                raise PinError("pin of unknown handle %r" % handle)
-            if handle in self._pinned:
-                return
-            self._pinned[handle] = self._registry[handle]
-            self._pinned_words += self._registry[handle]
-            if self._pinned_words > self.counters.peak_pinned_words:
-                self.counters.peak_pinned_words = self._pinned_words
-            if self._pinned_words > self.cfg.M:
-                self.violation = True
+        if handle not in self._registry:
+            raise PinError("pin of unknown handle %r" % handle)
+        if handle in self._pinned:
+            return
+        words = self._registry[handle]
+        self._pinned[handle] = words
+        self._pinned_words += words
+        if self._pinned_words > self.counters.peak_pinned_words:
+            self.counters.peak_pinned_words = self._pinned_words
+        if self._pinned_words > self.cfg.M:
+            self.violation = True
 
     def unpin(self, handle: int) -> None:
-        with self._lock:
-            if handle not in self._pinned:
-                raise PinError("unpin of handle %r that is not pinned" % handle)
-            self._pinned_words -= self._pinned.pop(handle)
+        if handle not in self._pinned:
+            raise PinError("unpin of handle %r that is not pinned" % handle)
+        self._pinned_words -= self._pinned.pop(handle)
 
     def is_pinned(self, handle: int) -> bool:
         return handle in self._pinned
@@ -190,29 +192,22 @@ class IoAccount:
 
     # -- raw charging ------------------------------------------------------
 
-    def _suspended(self) -> bool:
-        return getattr(self._tls, "suspend", 0) > 0
-
     def charge_read_words(self, words: int) -> int:
-        if self._suspended() or words <= 0:
+        if self._suspend or words <= 0:
             return 0
         n = self.cfg.blocks(words)
-        with self._lock:
-            self.counters.reads += n
-        scope = getattr(self._tls, "op", None)
-        if scope is not None:
-            scope.blocks += n
+        self.counters.reads += n
+        if self._op is not None:
+            self._op.blocks += n
         return n
 
     def charge_write_words(self, words: int) -> int:
-        if self._suspended() or words <= 0:
+        if self._suspend or words <= 0:
             return 0
         n = self.cfg.blocks(words)
-        with self._lock:
-            self.counters.writes += n
-        scope = getattr(self._tls, "op", None)
-        if scope is not None:
-            scope.blocks += n
+        self.counters.writes += n
+        if self._op is not None:
+            self._op.blocks += n
         return n
 
     # -- operation scoping -------------------------------------------------
@@ -226,10 +221,10 @@ class IoAccount:
         return _Suspend(self)
 
     def current_op(self) -> _OpScope | None:
-        return getattr(self._tls, "op", None)
+        return self._op
 
     def depth(self) -> int:
-        return getattr(self._tls, "depth", 0)
+        return self._depth
 
     def snapshot(self) -> IoCounters:
         return self.counters.snapshot()
@@ -240,31 +235,36 @@ class IoAccount:
         self.last_op_blocks = 0
         self.violation = False
 
+    def _claim(self) -> None:
+        # reentrant, so the owner thread nests scopes; others fail at once
+        if not self._owner.acquire(blocking=False):
+            raise RuntimeError("account in use by another thread")
+
 
 class _Operation:
-    __slots__ = ("account", "_outer")
+    __slots__ = ("account",)
 
     def __init__(self, account: IoAccount):
         self.account = account
-        self._outer = None
 
     def __enter__(self) -> _OpScope:
-        tls = self.account._tls
-        self._outer = getattr(tls, "op", None)
-        if self._outer is None:
-            tls.op = _OpScope()
-        tls.depth = getattr(tls, "depth", 0) + 1
-        return tls.op
+        account = self.account
+        account._claim()
+        if account._depth == 0:
+            account._op = _OpScope()
+        account._depth += 1
+        return account._op
 
     def __exit__(self, *exc) -> None:
-        tls = self.account._tls
-        tls.depth -= 1
-        if tls.depth == 0:
-            scope = tls.op
-            tls.op = None
-            self.account.last_op_blocks = scope.blocks
-            if scope.blocks > self.account.max_op_blocks:
-                self.account.max_op_blocks = scope.blocks
+        account = self.account
+        account._depth -= 1
+        if account._depth == 0:
+            scope = account._op
+            account._op = None
+            account.last_op_blocks = scope.blocks
+            if scope.blocks > account.max_op_blocks:
+                account.max_op_blocks = scope.blocks
+        account._owner.release()
         return None
 
 
@@ -275,47 +275,11 @@ class _Suspend:
         self.account = account
 
     def __enter__(self):
-        tls = self.account._tls
-        tls.suspend = getattr(tls, "suspend", 0) + 1
+        self.account._claim()
+        self.account._suspend += 1
         return self
 
     def __exit__(self, *exc):
-        self.account._tls.suspend -= 1
+        self.account._suspend -= 1
+        self.account._owner.release()
         return None
-
-
-# -- small functional facade ---------------------------------------------
-
-
-def charge_record_load(account: IoAccount, record_size: int, handle: int | None = None) -> int:
-    """Charge a read of one record; 0 if the record is pinned or size 0."""
-    if record_size <= 0:
-        return 0
-    if handle is not None and account.is_pinned(handle):
-        return 0
-    return account.charge_read_words(record_size)
-
-
-def charge_record_store(account: IoAccount, record_size: int, handle: int | None = None) -> int:
-    """Charge a write of one record; 0 if the record is pinned or size 0."""
-    if record_size <= 0:
-        return 0
-    if handle is not None and account.is_pinned(handle):
-        return 0
-    return account.charge_write_words(record_size)
-
-
-def pin(account: IoAccount, handle: int) -> None:
-    account.pin(handle)
-
-
-def unpin(account: IoAccount, handle: int) -> None:
-    account.unpin(handle)
-
-
-def snapshot(counters: IoCounters) -> IoCounters:
-    return counters.snapshot()
-
-
-def reset(counters: IoCounters) -> None:
-    counters.reset()

@@ -53,10 +53,8 @@ flushed.
 from __future__ import annotations
 
 import itertools
-import threading
 from bisect import bisect_left
 from contextlib import contextmanager
-from fractions import Fraction
 from operator import attrgetter
 from typing import Any, Iterator, NamedTuple
 
@@ -80,8 +78,6 @@ __all__ = [
     "concat_sequence",
     "bias",
     "delta",
-    "potential",
-    "total_potential",
     "critical_records",
     "logical_elements",
     "size_elements",
@@ -134,12 +130,11 @@ class _Backing(list):
     charged as block writes and are never charged again.
     """
 
-    __slots__ = ("flushed", "lock")
+    __slots__ = ("flushed",)
 
     def __init__(self, items=()):
         super().__init__(items)
         self.flushed = 0
-        self.lock = threading.Lock()
 
 
 class _Buf:
@@ -203,10 +198,9 @@ class _Buf:
     def extend_tip(self, items: list[Element]) -> "_Buf":
         """Append items, sharing the backing when this view is its tip."""
         backing = self.backing
-        with backing.lock:
-            if len(backing) == self.stop:
-                backing.extend(items)
-                return _Buf(backing, self.start, self.stop + len(items))
+        if len(backing) == self.stop:
+            backing.extend(items)
+            return _Buf(backing, self.start, self.stop + len(items))
         return _Buf.of(self.tolist() + items)
 
 
@@ -254,7 +248,6 @@ def _cover(scope, buf: _Buf) -> None:
 
 def _new_record(account: IoAccount, buf: _Buf, child: "Queue | None" = None) -> Record:
     rec = Record(buf, child)
-    account.register(rec.rid, len(buf))
     scope = account.current_op()
     if scope is not None:
         scope.created[rec.rid] = rec
@@ -277,7 +270,6 @@ def _load(account: IoAccount, rec: Record) -> None:
         scope.context.add(rid)
         _cover(scope, buf)
         return
-    account.register(rid, rec.size)
     account.charge_read_words(rec.size)
     scope.context.add(rid)
     _cover(scope, buf)
@@ -334,8 +326,6 @@ class Queue:
         self.cached_min = cached_min
         self.qid = _next_qid()
         self._focal = _focal_records(C, Bq, D)
-        for rec in self._focal:
-            account.register(rec.rid, rec.size)
         scope = account.current_op()
         if scope is None:
             self.resident = frozenset(r.rid for r in self._focal)
@@ -408,14 +398,12 @@ def _writeback(account: IoAccount, scope) -> None:
         if cover.get(id(buf.backing), -1) >= buf.stop:
             continue  # a longer view of the same run stays resident
         backing = buf.backing
-        with backing.lock:
-            lo = backing.flushed
-            if buf.start > lo:
-                lo = buf.start
-            words = buf.stop - lo
-            if words > 0:
-                backing.flushed = buf.stop
+        lo = backing.flushed
+        if buf.start > lo:
+            lo = buf.start
+        words = buf.stop - lo
         if words > 0:
+            backing.flushed = buf.stop
             account.charge_write_words(words)
 
 
@@ -463,7 +451,11 @@ def delta(Q: Queue) -> int:
 
 def critical_records(Q: Queue) -> tuple[Record, ...]:
     """The records an operation on this version may touch; pin these to
-    keep the version's operations free of cold reads."""
+    keep the version's operations free of cold reads. Registers each one
+    with the account, so its handle can be pinned."""
+    register = Q.account.register
+    for rec in Q._focal:
+        register(rec.rid, rec.size)
     return Q._focal
 
 
@@ -521,12 +513,12 @@ def _inject_tail(C: PDeque, Bq: PDeque, D: tuple[PDeque, ...], slot: str, recs):
 # -- catenation --------------------------------------------------------------
 
 
-def catenate_and_attrite(Q1: Queue, Q2: Queue, *, _seq: bool = False) -> Queue:
+def catenate_and_attrite(Q1: Queue, Q2: Queue) -> Queue:
     if Q1.account is not Q2.account:
         raise ConfigMismatchError("queues charge different accounts")
     account = Q1.account
     with _op(account, Q1, Q2):
-        return _keep(account, _catenate(account, Q1, Q2, _seq))
+        return _keep(account, _catenate(account, Q1, Q2, False))
 
 
 def insert_and_attrite(Q: Queue, e) -> Queue:
@@ -639,11 +631,8 @@ def _cat_general(account, Q1, Q2, e, new_min, b, seq):
     if not C1:
         _panic(Q1, "catenate on a version with an empty clean deque")
     l2rec, rest = _behead(account, Q2)
-    if rest is not None:
-        if not seq:
-            rest = bias(rest, _seq=False)
-        elif delta(rest) < 0:
-            rest = bias(rest, _seq=True)
+    if rest is not None and (not seq or delta(rest) < 0):
+        rest = bias(rest)
 
     bdead = bool(B1) and e <= B1.first().min_key
     if e <= C1.last().max_key:
@@ -685,7 +674,7 @@ def _cat_general(account, Q1, Q2, e, new_min, b, seq):
             res = bias(res)
     if seq:
         while delta(res) < 1:
-            res = bias(res, _seq=True)
+            res = bias(res)
     else:
         res = bias(res)
         while delta(res) < 0:
@@ -785,24 +774,24 @@ def drain(Q: Queue, *, charged: bool = True) -> list[Element]:
 # -- rebalancing --------------------------------------------------------------
 
 
-def bias(Q: Queue, *, _seq: bool = False) -> Queue:
+def bias(Q: Queue) -> Queue:
     """Raise delta(Q) by at least one. No-op on all-clean or empty versions."""
     if Q.cached_min is None or (not Q.Bq and not Q.D):
         return Q
     account = Q.account
     with _op(account, Q):
         target = delta(Q) + 1
-        res = _bias_step(account, Q, 0, _seq)
+        res = _bias_step(account, Q, 0)
         guard = 0
         while delta(res) < target and (res.Bq or res.D):
-            res = _bias_step(account, res, 0, _seq)
+            res = _bias_step(account, res, 0)
             guard += 1
             if guard > 64:
                 _panic(res, "bias failed to make progress")
         return _keep(account, res)
 
 
-def _bias_step(account: IoAccount, Q: Queue, depth: int, seq: bool) -> Queue:
+def _bias_step(account: IoAccount, Q: Queue, depth: int) -> Queue:
     if depth > 3:
         _panic(Q, "bias recursion exceeded its bound")
     if Q.cached_min is None:
@@ -813,12 +802,12 @@ def _bias_step(account: IoAccount, Q: Queue, depth: int, seq: bool) -> Queue:
     if len(D) > 1:
         return _bias_dirty_pair(account, Q, C, Bq, D, nm, b)
     if Bq and D:
-        return _bias_buffer(account, Q, C, Bq, D, nm, b, depth, seq)
+        return _bias_buffer(account, Q, C, Bq, D, nm, b, depth)
     if Bq:
         # no dirty deques, so nothing behind Bq attrites it: fold it clean
         return Queue(account, C.catenate(Bq), PDeque.empty(), (), nm)
     if D:
-        return _bias_absorb(account, Q, C, D, nm, b, depth, seq)
+        return _bias_absorb(account, Q, C, D, nm, b, depth)
     return Q
 
 
@@ -859,7 +848,7 @@ def _combine_pair(account, l1p: list[Element], r2: Record, b: int, allow_takes: 
     return "standalone", r2, _new_record(account, _Buf.of(l1p))
 
 
-def _bias_buffer(account, Q, C, Bq, D, nm, b, depth, seq):
+def _bias_buffer(account, Q, C, Bq, D, nm, b, depth):
     # Move the head of Bq out: its survivors either prepend onto the first
     # dirty record or become a clean record. Runs only when k == 1, so
     # elements taken out of the first dirty record are sound in C.
@@ -875,7 +864,7 @@ def _bias_buffer(account, Q, C, Bq, D, nm, b, depth, seq):
     newB = PDeque.empty() if b_gone else Brest
     newD = (d1.rest().push(r2new),) + D[1:]
     if kind == "prepend":
-        return _bias_step(account, Queue(account, C, newB, newD, nm), depth + 1, seq)
+        return _bias_step(account, Queue(account, C, newB, newD, nm), depth + 1)
     return Queue(account, C.inject(stand), newB, newD, nm)
 
 
@@ -904,7 +893,7 @@ def _bias_dirty_pair(account, Q, C, Bq, D, nm, b):
     return Queue(account, C, Bq, D[:-2] + (left.catenate(right),), nm)
 
 
-def _bias_absorb(account, Q, C, D, nm, b, depth, seq):
+def _bias_absorb(account, Q, C, D, nm, b, depth):
     # k == 1 and no buffer deque: surface the first dirty buffer as a clean
     # record and splice its child in, attrited by what remains dirty.
     d1 = D[0]
@@ -930,11 +919,11 @@ def _bias_absorb(account, Q, C, D, nm, b, depth, seq):
         else:
             res = Queue(account, newC.catenate(Cc), Bc, Dc + Dres, nm)
     if not C and r.size <= 2 * b:
-        res = _repair_head(account, res, moved, nm, b, depth, seq)
+        res = _repair_head(account, res, moved, nm, b, depth)
     return res
 
 
-def _repair_head(account, res, moved, nm, b, depth, seq):
+def _repair_head(account, res, moved, nm, b, depth):
     # A short record was surfaced to the very front: merge it with its
     # successor so the head stays comfortably sized.
     first_rec, Crest = res.C.pop()
@@ -944,7 +933,7 @@ def _repair_head(account, res, moved, nm, b, depth, seq):
         return res  # nothing to merge with
     sub = Queue(account, Crest, res.Bq, res.D, _front_element(Crest, res.Bq, res.D))
     if not sub.C:
-        sub = _bias_step(account, sub, depth + 1, seq)
+        sub = _bias_step(account, sub, depth + 1)
     if not sub.C:
         _panic(sub, "repair could not surface a successor record")
     r2, Crest2 = sub.C.pop()
@@ -991,7 +980,7 @@ def concat_sequence(queues: list[Queue]) -> Queue:
         for q in reversed(queues[:-1]):
             acc = _catenate(account, q, acc, True)
             while delta(acc) < 1 and (acc.Bq or acc.D):
-                acc = bias(acc, _seq=True)
+                acc = bias(acc)
         return _keep(account, acc)
 
 
@@ -1024,51 +1013,6 @@ def total_records(Q: Queue) -> int:
                 if rec.child is not None:
                     stack.append(rec.child)
     return len(seen_r)
-
-
-def _clamp(x: int, lo: int, hi: int) -> int:
-    return lo if x < lo else hi if x > hi else x
-
-
-def _phi_first(x: int, b: int) -> Fraction:
-    x = _clamp(x, b, 4 * b)
-    if x < 2 * b:
-        return 3 - Fraction(x, b)
-    if x < 3 * b:
-        return Fraction(1)
-    return Fraction(2 * x, b) - 5
-
-
-def _phi_last(x: int, b: int) -> Fraction:
-    x = _clamp(x, 0, 5 * b)
-    if x < 4 * b:
-        return Fraction(0)
-    return Fraction(3 * x, b) - 12
-
-
-def potential(Q: Queue) -> Fraction:
-    """Diagnostic charge stored in a version's record layout."""
-    b = Q.account.cfg.b
-    if Q.cached_min is None:
-        return Fraction(0)
-    if _is_small_rep(Q):
-        return Fraction(3 * Q.C.first().size, b)
-    recs = total_records(Q)
-    first_rec = (Q.C or Q.Bq or Q.D[0]).first()
-    r_last, _ = _tail_records(Q)
-    middle = recs - 2
-    if middle < 0:
-        middle = 0
-    return _phi_first(first_rec.size, b) + middle + _phi_last(r_last.size, b)
-
-
-def total_potential(queues) -> Fraction:
-    total = Fraction(0)
-    for q in queues:
-        total += potential(q)
-        if q.cached_min is not None and not _is_small_rep(q):
-            total += 1
-    return total
 
 
 def logical_elements(Q: Queue) -> list[Element]:

@@ -22,6 +22,8 @@ query or rebuild, so the queue machinery itself runs without hidden reads.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 from . import cpqa
 from .blockio import IoAccount, IoConfig, IoCounters
 
@@ -79,7 +81,6 @@ class SkylineIndex:
         self.b = account.cfg.b
         self.B = account.cfg.B
         self.root: _Node | None = None
-        self._pinned: list[int] = []
         pts = sorted((p[0], p[1]) for p in points)
         for i in range(1, len(pts)):
             if pts[i - 1][0] == pts[i][0]:
@@ -110,12 +111,8 @@ class SkylineIndex:
             return []
         with self.account.operation():
             self._charge_node(self.root)
-            self._pin_queue(self.root.queue)
-            try:
-                out = [el.payload for el in cpqa.drain(self.root.queue)]
-            finally:
-                self._unpin_all()
-        return out
+            with self._pinning([self.root.queue]):
+                return [el.payload for el in cpqa.drain(self.root.queue)]
 
     # -- queries ---------------------------------------------------------------
 
@@ -125,19 +122,18 @@ class SkylineIndex:
             return []
         segments: list = []
         with self.account.operation():
-            try:
-                self._decompose(self.root, x_lo, x_hi, segments)
-                queues = []
-                for kind, val in segments:
-                    if kind == "node":
-                        self._pin_queue(val.queue)
-                        queues.append(val.queue)
-                    else:
-                        q = self._fold_points(val)
-                        if q.cached_min is not None:
-                            queues.append(q)
-                if not queues:
-                    return []
+            self._decompose(self.root, x_lo, x_hi, segments)
+            queues = []
+            for kind, val in segments:
+                if kind == "node":
+                    queues.append(val.queue)
+                else:
+                    q = self._fold_points(val)
+                    if q.cached_min is not None:
+                        queues.append(q)
+            if not queues:
+                return []
+            with self._pinning(val.queue for kind, val in segments if kind == "node"):
                 aux = cpqa.concat_sequence(queues)
                 out = []
                 while aux.cached_min is not None:
@@ -146,8 +142,6 @@ class SkylineIndex:
                         break
                     out.append(el.payload)
                     _, aux = cpqa.delete_min(aux)
-            finally:
-                self._unpin_all()
         return out
 
     def _decompose(self, node: _Node, lo, hi, segments: list) -> None:
@@ -179,32 +173,26 @@ class SkylineIndex:
                 self.root = leaf
             return
         with self.account.operation():
-            try:
-                split = self._insert_rec(self.root, point)
-                if split is not None:
-                    old = self.root
-                    root = _Node(False)
-                    root.children = [old, split]
-                    self._refresh_internal(root)
-                    self.root = root
-            finally:
-                self._unpin_all()
+            split = self._insert_rec(self.root, point)
+            if split is not None:
+                old = self.root
+                root = _Node(False)
+                root.children = [old, split]
+                self._refresh_internal(root)
+                self.root = root
 
     def delete(self, point) -> bool:
         point = (point[0], point[1])
         if self.root is None:
             return False
         with self.account.operation():
-            try:
-                removed = self._delete_rec(self.root, point)
-                if removed:
-                    if self.root.count == 0:
-                        self.root = None
-                    else:
-                        while not self.root.leaf and len(self.root.children) == 1:
-                            self.root = self.root.children[0]
-            finally:
-                self._unpin_all()
+            removed = self._delete_rec(self.root, point)
+            if removed:
+                if self.root.count == 0:
+                    self.root = None
+                else:
+                    while not self.root.leaf and len(self.root.children) == 1:
+                        self.root = self.root.children[0]
         return removed
 
     # -- node maintenance ----------------------------------------------------------
@@ -224,17 +212,22 @@ class SkylineIndex:
             if words:
                 self.account.charge_read_words(words)
 
-    def _pin_queue(self, q) -> None:
-        if q is None:
-            return
-        for rec in cpqa.critical_records(q):
-            self.account.pin(rec.rid)
-            self._pinned.append(rec.rid)
-
-    def _unpin_all(self) -> None:
-        for rid in self._pinned:
-            self.account.unpin(rid)
-        self._pinned.clear()
+    @contextmanager
+    def _pinning(self, queues):
+        """Pin the critical records of the given queues that are not pinned
+        yet, and unpin exactly those on exit."""
+        account = self.account
+        mine = []
+        for q in queues:
+            for rec in cpqa.critical_records(q):
+                if not account.is_pinned(rec.rid):
+                    account.pin(rec.rid)
+                    mine.append(rec.rid)
+        try:
+            yield
+        finally:
+            for rid in mine:
+                account.unpin(rid)
 
     def _fold_points(self, pts):
         q = cpqa.empty(self.account)
@@ -257,11 +250,10 @@ class SkylineIndex:
             node.xmin = node.xmax = None
 
     def _refresh_internal(self, node: _Node) -> None:
-        for ch in node.children:
-            self._pin_queue(ch.queue)
-        queues = [ch.queue for ch in node.children if ch.queue is not None and ch.queue.cached_min is not None]
+        queues = [ch.queue for ch in node.children if ch.queue.cached_min is not None]
         if queues:
-            node.queue = self._prep(cpqa.concat_sequence(queues))
+            with self._pinning(queues):
+                node.queue = self._prep(cpqa.concat_sequence(queues))
         else:
             node.queue = cpqa.empty(self.account)
         node.count = sum(ch.count for ch in node.children)
@@ -270,37 +262,33 @@ class SkylineIndex:
 
     def _bulk_build(self, pts: list) -> None:
         with self.account.operation():
-            try:
-                cap = self.leaf_cap
-                level: list[_Node] = []
-                for i in range(0, len(pts), cap):
-                    leaf = _Node(True)
-                    leaf.points = pts[i : i + cap]
-                    self._refresh_leaf(leaf)
-                    level.append(leaf)
-                fan = self.fanout
-                while len(level) > 1:
-                    nxt: list[_Node] = []
-                    for i in range(0, len(level), fan):
-                        group = level[i : i + fan]
-                        if len(group) == 1 and nxt:
-                            # a stray child joins the previous group
-                            prev = nxt.pop()
-                            group = prev.children + group
-                        if len(group) <= 2 * fan:
-                            halves = [group]
-                        else:
-                            halves = [group[: len(group) // 2], group[len(group) // 2 :]]
-                        for part in halves:
-                            node = _Node(False)
-                            node.children = part
-                            self._refresh_internal(node)
-                            self._unpin_all()
-                            nxt.append(node)
-                    level = nxt
-                self.root = level[0]
-            finally:
-                self._unpin_all()
+            cap = self.leaf_cap
+            level: list[_Node] = []
+            for i in range(0, len(pts), cap):
+                leaf = _Node(True)
+                leaf.points = pts[i : i + cap]
+                self._refresh_leaf(leaf)
+                level.append(leaf)
+            fan = self.fanout
+            while len(level) > 1:
+                nxt: list[_Node] = []
+                for i in range(0, len(level), fan):
+                    group = level[i : i + fan]
+                    if len(group) == 1 and nxt:
+                        # a stray child joins the previous group
+                        prev = nxt.pop()
+                        group = prev.children + group
+                    if len(group) <= 2 * fan:
+                        halves = [group]
+                    else:
+                        halves = [group[: len(group) // 2], group[len(group) // 2 :]]
+                    for part in halves:
+                        node = _Node(False)
+                        node.children = part
+                        self._refresh_internal(node)
+                        nxt.append(node)
+                level = nxt
+            self.root = level[0]
 
     def _insert_rec(self, node: _Node, point) -> "_Node | None":
         self._charge_node(node)
@@ -330,12 +318,9 @@ class SkylineIndex:
             right.children = node.children[half:]
             node.children = node.children[:half]
             self._refresh_internal(right)
-            self._unpin_all()
             self._refresh_internal(node)
-            self._unpin_all()
             return right
         self._refresh_internal(node)
-        self._unpin_all()
         return None
 
     def _delete_rec(self, node: _Node, point) -> bool:
@@ -355,7 +340,6 @@ class SkylineIndex:
         if size < low and len(node.children) > 1:
             self._rebalance_child(node, idx)
         self._refresh_internal(node)
-        self._unpin_all()
         return True
 
     def _rebalance_child(self, node: _Node, idx: int) -> None:
@@ -380,13 +364,10 @@ class SkylineIndex:
             if len(merged) <= 2 * self.fanout:
                 lo.children = merged
                 self._refresh_internal(lo)
-                self._unpin_all()
                 node.children.pop(node.children.index(hi))
             else:
                 half = len(merged) // 2
                 lo.children = merged[:half]
                 hi.children = merged[half:]
                 self._refresh_internal(lo)
-                self._unpin_all()
                 self._refresh_internal(hi)
-                self._unpin_all()

@@ -9,8 +9,6 @@ from skyq.blockio import (
     IoConfig,
     IoCounters,
     PinError,
-    charge_record_load,
-    charge_record_store,
 )
 
 
@@ -83,17 +81,6 @@ def test_pin_overflow_flags_without_raising():
     a.register(7, 4096)
     a.pin(7)
     assert a.violation
-
-
-def test_pinned_records_load_free():
-    a = IoAccount(IoConfig(B=64, M=4096, b=16))
-    a.register(3, 256)
-    a.pin(3)
-    assert charge_record_load(a, 256, handle=3) == 0
-    assert charge_record_store(a, 256, handle=3) == 0
-    a.unpin(3)
-    assert charge_record_load(a, 256, handle=3) == 4
-    assert charge_record_store(a, 256, handle=3) == 4
 
 
 def test_operation_scope_tracks_per_op_blocks():

@@ -5,8 +5,6 @@ sequences against the list reference model with structural validation after
 every step.
 """
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,7 +56,6 @@ def test_singleton():
     assert cpqa.find_min(q) == Element(5, "p")
     assert cpqa.delta(q) == 2
     assert cpqa.size_elements(q) == 1
-    assert cpqa.potential(q) == Fraction(3, 4)
     assert cpqa.validate(q) == []
 
 
@@ -197,19 +194,6 @@ def test_bias_preserves_contents_and_raises_delta():
     assert drained_keys(biased) == contents
     assert cpqa.validate(biased) == []
     assert cpqa.delta(biased) >= before + 1 or (not biased.Bq and not biased.D)
-
-
-def test_potential_profile_shapes():
-    b = 4
-    assert cpqa._phi_first(b, b) == 2
-    assert cpqa._phi_first(2 * b, b) == 1
-    assert cpqa._phi_first(3 * b, b) == 1
-    assert cpqa._phi_first(4 * b, b) == 3
-    assert cpqa._phi_last(4 * b, b) == 0
-    assert cpqa._phi_last(5 * b, b) == 3
-    acct = mk_account(b=4)
-    q = build(acct, [1, 4, 9, 16, 25, 36, 49])
-    assert cpqa.potential(q) == Fraction(5, 4)
 
 
 def test_dump_golden():

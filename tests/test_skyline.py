@@ -1,9 +1,12 @@
 """Unit tests for the dynamic 3-sided range-maxima index."""
 
 import random
+import sys
+import threading
 
 import pytest
 
+from skyq import cpqa
 from skyq.oracle import naive_maxima, naive_query3
 from skyq.skyline import SkylineIndex, skyline_key
 
@@ -175,3 +178,97 @@ def test_counters_move_under_queries():
         idx.query3(lo, hi, rng.randrange(10_000))
     after = idx.counters().snapshot()
     assert after.reads > before.reads
+
+
+def test_pins_released_after_every_operation():
+    rng = random.Random(9)
+    xs = rng.sample(range(100_000), 900)
+    live = {x: (x, rng.randrange(10_000)) for x in xs[:600]}
+    idx = SkylineIndex(live.values(), B=16, epsilon=0.5)
+    acct = idx.account
+    assert acct.pinned_words == 0
+    for x in xs[600:]:
+        lo, hi, ym = rng.randrange(100_000), rng.randrange(100_000), rng.randrange(10_000)
+        assert idx.query3(lo, hi, ym) == naive_query3(list(live.values()), lo, hi, ym)
+        assert acct.pinned_words == 0
+        live[x] = (x, rng.randrange(10_000))
+        idx.insert(live[x])
+        assert acct.pinned_words == 0
+        with pytest.raises(ValueError):
+            idx.insert((x, 1))
+        assert acct.pinned_words == 0
+        assert idx.delete(live.pop(rng.choice(list(live))))
+        assert acct.pinned_words == 0
+    assert idx.maxima() == naive_maxima(list(live.values()))
+    assert acct.pinned_words == 0
+    assert acct.counters.peak_pinned_words > 0
+
+
+def test_second_thread_is_refused_while_the_account_is_held():
+    idx = SkylineIndex([(1, 5), (2, 3), (3, 8), (4, 1), (5, 6)])
+    errors = []
+
+    def other():
+        for call in (lambda: idx.query3(0, 10, 0), lambda: cpqa.validate(idx.root.queue)):
+            try:
+                call()
+            except RuntimeError as exc:
+                errors.append(str(exc))
+
+    with idx.account.operation():
+        t = threading.Thread(target=other)
+        t.start()
+        t.join(timeout=60)
+        assert idx.query3(0, 10, 0) == [(3, 8), (5, 6)]  # the owner nests freely
+    assert not t.is_alive()
+    assert errors == ["account in use by another thread"] * 2
+    t = threading.Thread(target=other)
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive()
+    assert len(errors) == 2  # released: the other thread gets through
+
+
+def test_concurrent_queries_answer_right_or_refuse():
+    rng = random.Random(11)
+    pts = sorted((x, rng.randrange(10_000)) for x in rng.sample(range(100_000), 2000))
+    idx = SkylineIndex(pts)
+    results = [None] * 4
+
+    def worker(i):
+        r = random.Random(100 + i)
+        right = refused = 0
+        wrong = []
+        for _ in range(200):
+            lo = r.randrange(100_000)
+            hi = lo + r.randrange(1, 30_000)
+            ym = r.randrange(10_000)
+            try:
+                got = idx.query3(lo, hi, ym)
+            except RuntimeError:
+                refused += 1
+                continue
+            except Exception as exc:  # PinError or a structural fault
+                wrong.append(repr(exc))
+                continue
+            if got == naive_query3(pts, lo, hi, ym):
+                right += 1
+            else:
+                wrong.append((lo, hi, ym))
+        results[i] = (right, refused, wrong)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(res is not None and res[2] == [] for res in results), results
+    assert sum(res[0] for res in results) > 0
+    assert sum(res[0] + res[1] for res in results) == 800
+    assert idx.account.pinned_words == 0
