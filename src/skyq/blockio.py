@@ -7,11 +7,16 @@ the only cost is the number of block transfers. This module owns that ledger.
 Cost model used by the queue layer:
 
 - A record buffer of s words costs ceil(s / B) block reads when its contents
-  are inspected, unless the record is exempt. Exempt records are (a) records
-  explicitly pinned in memory, and (b) the focal records of the operation's
-  operand versions (first/last few records of each deque), which are treated
-  as already resident: every queue is granted a constant number of resident
-  blocks, so M must be at least b words per simultaneously live queue.
+  are inspected, unless its run is already in memory. Residency is tracked by
+  the exact buffer run (backing array, start, stop), so records that share a
+  run share its residency. A run is in memory when (a) the record is
+  explicitly pinned, (b) the run belongs to the working set of an operand
+  version, or (c) the operation created or read it earlier. A version's
+  working set is fixed once, when an operation first hands the version out:
+  its focal records (first/last few records of each deque) whose runs were
+  in memory at that moment. Every queue is granted a constant number of
+  resident blocks, so M must be at least b words per simultaneously live
+  queue.
 - Writes are charged when a dirty buffer leaves the focal set of an
   operation's result (it is flushed to disk). Buffers shorter than b words
   are never flushed: they fit in the queue's guaranteed resident block.
@@ -23,8 +28,8 @@ Cost model used by the queue layer:
   M sets a violation flag rather than raising, so a run can be inspected
   afterwards.
 
-Counters are injectable: everything charges through an IoAccount, and tests
-can hand each structure its own account or temporarily suspend charging.
+Everything charges through an IoAccount; tests can temporarily suspend
+charging.
 
 An account is used by one thread at a time. Its open operation, nesting
 depth, suspension count and pin table are plain attributes with no locking.
@@ -122,21 +127,21 @@ class IoCounters:
 class _OpScope:
     """Charges accumulated by one public operation (nested calls join it).
 
-    context / backings: record ids and buffer-backing ids known to be in
-    memory for the duration of the operation (operand-resident, read, or
-    created here). created / pre_resident / queues feed the write-back pass
-    that runs when the outermost operation ends.
+    runs: the buffer runs in memory for the duration of the operation, each
+    keyed (id(backing), start, stop): the operands' working sets, and every
+    run read or created here. held: the records whose buffers the write-back
+    pass may flush when the outermost operation ends, the operands' working
+    sets first, then the records created here. kept: the versions the
+    operation hands out; their working sets stay in memory.
     """
 
-    __slots__ = ("context", "backings", "blocks", "pre_resident", "created", "kept")
+    __slots__ = ("runs", "blocks", "held", "kept")
 
     def __init__(self):
-        self.context: set[int] = set()
-        self.backings: dict[int, tuple[int, int]] = {}  # backing id -> covered span
+        self.runs: set[tuple[int, int, int]] = set()
         self.blocks = 0
-        self.pre_resident: dict[int, object] = {}
-        self.created: dict[int, object] = {}
-        self.kept: list = []  # versions the operation hands out; their working sets stay resident
+        self.held: dict[int, object] = {}
+        self.kept: list = []
 
 
 class IoAccount:
@@ -145,9 +150,9 @@ class IoAccount:
     Used by one thread at a time; see the module docstring.
     """
 
-    def __init__(self, cfg: IoConfig, counters: IoCounters | None = None):
+    def __init__(self, cfg: IoConfig):
         self.cfg = cfg
-        self.counters = counters if counters is not None else IoCounters()
+        self.counters = IoCounters()
         self.violation = False
         self.max_op_blocks = 0
         self.last_op_blocks = 0

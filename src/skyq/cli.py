@@ -23,9 +23,7 @@ def run_equivalence(
     *,
     B: int = 64,
     b: int | None = None,
-    M: int | None = None,
     validate_every: int = 0,
-    cache: "cpqa.ValidationCache | None" = None,
 ):
     """Drive identical operation streams through the queues and the lists.
 
@@ -34,13 +32,10 @@ def run_equivalence(
     """
     if b is None:
         b = max(1, round(B ** (2 / 3)))
-    if M is None:
-        M = max(B, 4096 * B)
-    account = IoAccount(IoConfig(B, M, b))
+    account = IoAccount(IoConfig(B, 4096 * B, b))
     qs = [cpqa.empty(account) for _ in range(pool)]
     refs: list[list] = [[] for _ in range(pool)]
-    if cache is None:
-        cache = cpqa.ValidationCache()
+    cache = cpqa.ValidationCache()
     nops = 0
     mismatch = None
     violations: list[str] = []

@@ -38,15 +38,20 @@ Ordering facts maintained across operations (checked by validate):
 The first element of the first record is therefore the global minimum; every
 version caches it, which makes find_min free.
 
-Cost model. Every public operation runs in an account operation scope.
-Reading a record's contents charges ceil(size / B) block reads unless the
-record is resident: pinned, carried in from an operand version's working set,
-or created during this operation. Record fence keys (min/max), sizes and the
-per-version cached minimum are maintained metadata and free. When the
-outermost operation exits, buffers that were resident or created but did not
-stay in any result version's working set are written back, ceil(words / B)
-block writes per backing run above its flushed watermark; buffers shorter
-than b words live in the version's guaranteed memory allowance and are never
+Cost model. Every public operation runs in an account operation scope, and
+residency is tracked by exact buffer run: (backing, start, stop). Reading a
+record's contents charges ceil(size / B) block reads unless its run is in
+memory: the record is pinned, or the run is in an operand version's working
+set, or this operation created or read it already. Record fence keys
+(min/max), sizes and the per-version cached minimum are maintained metadata
+and free. A version's working set is fixed once, when an operation first
+hands the version out (_keep): its focal records whose runs are in memory at
+that point. Only the outermost scope seeds operand working sets; nested
+operations join it. When the outermost operation exits, held buffers
+(operand working sets and records created here) that did not stay in any
+handed-out version's working set are written back, ceil(words / B) block
+writes per backing run above its flushed watermark; buffers shorter than b
+words live in the version's guaranteed memory allowance and are never
 flushed.
 """
 
@@ -235,24 +240,20 @@ class Record:
         return "(%r..%r,n=%d,child=%s)" % (self.min_key, self.max_key, self.size, child)
 
 
-def _cover(scope, buf: _Buf) -> None:
-    bid = id(buf.backing)
-    box = scope.backings.get(bid)
-    if box is None:
-        scope.backings[bid] = (buf.start, buf.stop)
-    else:
-        lo, hi = box
-        if buf.start < lo or buf.stop > hi:
-            scope.backings[bid] = (min(lo, buf.start), max(hi, buf.stop))
+def _run(buf: _Buf) -> tuple[int, int, int]:
+    # Residency key. A backing id cannot be reused within a scope: held
+    # records and operands keep every backing alive. A backing an enclosing
+    # scope lets go of could only be reused by one made later in the scope,
+    # whose records are all created here, so their runs are in already.
+    return (id(buf.backing), buf.start, buf.stop)
 
 
 def _new_record(account: IoAccount, buf: _Buf, child: "Queue | None" = None) -> Record:
     rec = Record(buf, child)
     scope = account.current_op()
     if scope is not None:
-        scope.created[rec.rid] = rec
-        scope.context.add(rec.rid)
-        _cover(scope, buf)
+        scope.held[rec.rid] = rec
+        scope.runs.add(_run(buf))
     return rec
 
 
@@ -261,26 +262,20 @@ def _load(account: IoAccount, rec: Record) -> None:
     scope = account.current_op()
     if scope is None:
         return
-    rid = rec.rid
-    if rid in scope.context:
-        return
-    buf = rec.buf
-    box = scope.backings.get(id(buf.backing))
-    if (box is not None and box[0] <= buf.start and buf.stop <= box[1]) or account.is_pinned(rid):
-        scope.context.add(rid)
-        _cover(scope, buf)
-        return
-    account.charge_read_words(rec.size)
-    scope.context.add(rid)
-    _cover(scope, buf)
+    run = _run(rec.buf)
+    if run not in scope.runs:
+        scope.runs.add(run)
+        if not account.is_pinned(rec.rid):
+            account.charge_read_words(rec.size)
 
 
 # -- versions ---------------------------------------------------------------
 
 
-def _focal_records(C: PDeque, Bq: PDeque, D: tuple[PDeque, ...]) -> tuple[Record, ...]:
+def _focal_records(Q: Queue) -> tuple[Record, ...]:
     # The records any single operation may need: both ends of C plus its
     # second record, the head of Bq, and the ends of the dirty fringe.
+    C, Bq, D = Q.C, Q.Bq, Q.D
     out: list[Record] = []
     if C:
         out.append(C.first())
@@ -307,9 +302,13 @@ def _focal_records(C: PDeque, Bq: PDeque, D: tuple[PDeque, ...]) -> tuple[Record
 
 
 class Queue:
-    """One immutable queue version. Build with empty()/singleton() and the ops."""
+    """One immutable queue version. Build with empty()/singleton() and the ops.
 
-    __slots__ = ("account", "C", "Bq", "D", "cached_min", "qid", "resident", "_focal")
+    focal and resident are fixed when an operation first hands the version
+    out: its focal records, and those of them whose runs were in memory then.
+    """
+
+    __slots__ = ("account", "C", "Bq", "D", "cached_min", "qid", "focal", "resident")
 
     def __init__(
         self,
@@ -325,16 +324,8 @@ class Queue:
         self.D = D
         self.cached_min = cached_min
         self.qid = _next_qid()
-        self._focal = _focal_records(C, Bq, D)
-        scope = account.current_op()
-        if scope is None:
-            self.resident = frozenset(r.rid for r in self._focal)
-        else:
-            ctx = scope.context
-            self.resident = frozenset(r.rid for r in self._focal if r.rid in ctx)
-
-    def is_empty(self) -> bool:
-        return self.cached_min is None
+        self.focal: tuple[Record, ...] | None = None
+        self.resident: tuple[Record, ...] = ()
 
     def __repr__(self) -> str:
         if self.cached_min is None:
@@ -347,20 +338,18 @@ def _panic(Q: Queue, msg: str):
 
 
 @contextmanager
-def _op(account: IoAccount, *operands: "Queue | None"):
-    """Operation scope: seeds operand working sets, writes back displaced runs."""
+def _op(account: IoAccount, *operands: Queue):
+    """Operation scope: seeds operand working sets, writes back displaced runs.
+
+    Only the outermost scope seeds; nested operations join it.
+    """
     with account.operation() as scope:
-        for q in operands:
-            if q is None:
-                continue
-            res = q.resident
-            if not res:
-                continue
-            scope.context.update(res)
-            for rec in q._focal:
-                if rec.rid in res:
-                    scope.pre_resident.setdefault(rec.rid, rec)
-                    _cover(scope, rec.buf)
+        if account.depth() == 1:
+            runs, held = scope.runs, scope.held
+            for q in operands:
+                for rec in q.resident:
+                    runs.add(_run(rec.buf))
+                    held.setdefault(rec.rid, rec)
         try:
             yield scope
         finally:
@@ -369,10 +358,16 @@ def _op(account: IoAccount, *operands: "Queue | None"):
 
 
 def _keep(account: IoAccount, Q: Queue) -> Queue:
-    """Mark Q as an operation result: its working set stays in memory."""
+    """Hand Q out as an operation result: its working set stays in memory.
+
+    The first hand-out fixes Q's working set; a version kept again keeps it.
+    """
     scope = account.current_op()
-    if scope is not None:
-        scope.kept.append(Q)
+    if Q.focal is None:
+        Q.focal = _focal_records(Q)
+        runs = scope.runs
+        Q.resident = tuple(rec for rec in Q.focal if _run(rec.buf) in runs)
+    scope.kept.append(Q)
     return Q
 
 
@@ -381,15 +376,12 @@ def _writeback(account: IoAccount, scope) -> None:
     protected: set[int] = set()
     cover: dict[int, int] = {}
     for q in scope.kept:
-        for rec in q._focal:
-            if rec.rid in q.resident:
-                protected.add(rec.rid)
-                bid = id(rec.buf.backing)
-                if cover.get(bid, -1) < rec.buf.stop:
-                    cover[bid] = rec.buf.stop
-    candidates = dict(scope.pre_resident)
-    candidates.update(scope.created)
-    for rid, rec in candidates.items():
+        for rec in q.resident:
+            protected.add(rec.rid)
+            bid = id(rec.buf.backing)
+            if cover.get(bid, -1) < rec.buf.stop:
+                cover[bid] = rec.buf.stop
+    for rid, rec in scope.held.items():
         if rid in protected or account.is_pinned(rid):
             continue
         buf = rec.buf
@@ -432,11 +424,17 @@ def empty(account: IoAccount) -> Queue:
     return Queue(account, PDeque.empty(), PDeque.empty(), (), None)
 
 
+def _unit(account: IoAccount, e: Element) -> Queue:
+    # kept like a handed-out version: at b == 1 its one-word buffer would
+    # otherwise be written back when a catenation merges it away
+    rec = _new_record(account, _Buf.of([e]))
+    return _keep(account, Queue(account, PDeque.of([rec]), PDeque.empty(), (), e))
+
+
 def singleton(account: IoAccount, e) -> Queue:
     e = _as_element(e)
     with _op(account):
-        rec = _new_record(account, _Buf.of([e]))
-        return _keep(account, Queue(account, PDeque.of([rec]), PDeque.empty(), (), e))
+        return _unit(account, e)
 
 
 def find_min(Q: Queue) -> Element:
@@ -453,10 +451,11 @@ def critical_records(Q: Queue) -> tuple[Record, ...]:
     """The records an operation on this version may touch; pin these to
     keep the version's operations free of cold reads. Registers each one
     with the account, so its handle can be pinned."""
+    focal = Q.focal if Q.focal is not None else _focal_records(Q)
     register = Q.account.register
-    for rec in Q._focal:
+    for rec in focal:
         register(rec.rid, rec.size)
-    return Q._focal
+    return focal
 
 
 # -- attrition surgery helpers ----------------------------------------------
@@ -525,7 +524,7 @@ def insert_and_attrite(Q: Queue, e) -> Queue:
     e = _as_element(e)
     account = Q.account
     with _op(account, Q):
-        return _keep(account, _catenate(account, Q, singleton(account, e), False))
+        return _keep(account, _catenate(account, Q, _unit(account, e), False))
 
 
 def _catenate(account: IoAccount, Q1: Queue, Q2: Queue, seq: bool) -> Queue:

@@ -188,9 +188,6 @@ class PDeque:
         """New deque holding self's items followed by other's."""
         return PDeque(_join(self._root, other._root))
 
-    def height(self) -> int:
-        return self._root.height if self._root is not None else 0
-
     def __repr__(self) -> str:
         return "PDeque([%s])" % ", ".join(repr(x) for x in self)
 

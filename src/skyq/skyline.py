@@ -68,18 +68,13 @@ class SkylineIndex:
     IoAccount; read its counters for the accumulated cost.
     """
 
-    def __init__(self, points=(), *, B: int = 64, epsilon: float = 1 / 3, M: int | None = None, account: IoAccount | None = None):
+    def __init__(self, points=(), *, B: int = 64, epsilon: float = 1 / 3):
         fanout, leaf_cap = _derive_params(B, epsilon)
         self.fanout = fanout
         self.leaf_cap = leaf_cap
-        b = leaf_cap
-        if account is None:
-            if M is None:
-                M = max(B, 4096 * B)
-            account = IoAccount(IoConfig(B, M, b))
-        self.account = account
-        self.b = account.cfg.b
-        self.B = account.cfg.B
+        self.account = IoAccount(IoConfig(B, 4096 * B, leaf_cap))
+        self.b = leaf_cap
+        self.B = B
         self.root: _Node | None = None
         pts = sorted((p[0], p[1]) for p in points)
         for i in range(1, len(pts)):

@@ -1,0 +1,132 @@
+"""Exact block counts of a seeded drift-key stream, and the structural paths
+it takes.
+
+The stream runs over a pool of four queue slots. Most inserts land just
+above the source slot's tail, a few dip below it, and the rest of the
+operations are catenates and delete_min. At b=4 it reaches every structural
+path of cpqa, _bias_dirty_pair included. Its totals pin the cost model:
+charging residency by record id instead of by buffer run changes the (16, 4)
+figures.
+
+Answers are not compared with the oracle: a known fault in _bias_buffer
+(a multi-record buffer deque whose head is prepended onto the first dirty
+record attrites live elements behind it) makes drift streams diverge from
+the reference. validate still holds after every operation.
+"""
+
+import random
+
+import pytest
+
+from skyq import cpqa, oracle
+from skyq.blockio import IoAccount, IoConfig
+from skyq.skyline import SkylineIndex
+
+POOL = 4
+PATHS = (
+    "_cat_small_left",
+    "_cat_small_right",
+    "_cat_general",
+    "_bias_buffer",
+    "_bias_dirty_pair",
+    "_bias_absorb",
+    "_repair_head",
+)
+
+
+def drift_stream(seed, count, warm=60, dip=0.08, cat=0.35, dmin=0.2):
+    """count ops: warm inserts per slot, then a mix of inserts, catenates
+    and delete_min. Keys follow the reference lists, so the stream does not
+    depend on the queues under test."""
+    rng = random.Random(seed)
+    refs = [[] for _ in range(POOL)]
+    used = set()
+    top = 0
+
+    def key_for(ref):
+        nonlocal top
+        while True:
+            k = None
+            if ref and rng.random() < dip:
+                j = max(0, len(ref) - 1 - int(rng.expovariate(1 / 6)))
+                lo = ref[j - 1][0] + 1 if j > 0 else ref[0][0] - 500
+                if ref[j][0] > lo:
+                    k = rng.randrange(lo, ref[j][0])
+            else:
+                k = (ref[-1][0] if ref else top) + rng.randrange(1, 500)
+            if k is not None and k not in used:
+                used.add(k)
+                top = max(top, k)
+                return k
+
+    ops = []
+    for s in range(POOL):
+        for _ in range(warm):
+            k = key_for(refs[s])
+            refs[s] = oracle.naive_insert(refs[s], k)
+            ops.append(("insert", s, s, k))
+    while len(ops) < count:
+        r = rng.random()
+        dst = rng.randrange(POOL)
+        if r < cat:
+            a, b = rng.randrange(POOL), rng.randrange(POOL)
+            refs[dst] = oracle.naive_catenate_and_attrite(refs[a], refs[b])
+            ops.append(("catenate", dst, a, b))
+        elif r < cat + dmin:
+            s = rng.randrange(POOL)
+            if refs[s]:
+                refs[dst] = refs[s][1:]
+                ops.append(("delete_min", dst, s))
+        else:
+            s = rng.randrange(POOL)
+            k = key_for(refs[s])
+            refs[dst] = oracle.naive_insert(refs[s], k)
+            ops.append(("insert", dst, s, k))
+    return ops
+
+
+def run_stream(B, b, ops):
+    acct = IoAccount(IoConfig(B, 4096 * B, b))
+    qs = [cpqa.empty(acct)] * POOL
+    cache = cpqa.ValidationCache()
+    for op in ops:
+        dst = op[1]
+        if op[0] == "insert":
+            qs[dst] = cpqa.insert_and_attrite(qs[op[2]], op[3])
+        elif op[0] == "catenate":
+            qs[dst] = cpqa.catenate_and_attrite(qs[op[2]], qs[op[3]])
+        elif qs[op[2]].cached_min is not None:  # the fault can empty a slot early
+            qs[dst] = cpqa.delete_min(qs[op[2]])[1]
+        assert cpqa.validate(qs[dst], cache) == [], op
+    return acct.counters.reads, acct.counters.writes, acct.max_op_blocks
+
+
+@pytest.mark.parametrize(
+    "B, b, want",
+    [(64, 16, (17, 380, 4)), (16, 4, (49, 477, 5))],
+)
+def test_drift_stream_fingerprint_and_path_census(monkeypatch, B, b, want):
+    seen = set()
+    for name in PATHS:
+        real = getattr(cpqa, name)
+
+        def spy(*args, _real=real, _name=name):
+            seen.add(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(cpqa, name, spy)
+    assert run_stream(B, b, drift_stream(35, 2000)) == want
+    assert seen == set(PATHS)
+
+
+def test_skyline_run_reads():
+    rng = random.Random(5)
+    xs = rng.sample(range(30_000), 3040)
+    ys = rng.sample(range(30_000), 3040)
+    idx = SkylineIndex(list(zip(xs[:3000], ys[:3000])), B=16, epsilon=0.5)
+    for i in range(40):
+        idx.insert((xs[3000 + i], ys[3000 + i]))
+        idx.delete((xs[i], ys[i]))
+        lo = rng.randrange(30_000)
+        idx.query3(lo, lo + 2000, rng.randrange(30_000))
+    assert idx.account.counters.reads == 2292

@@ -164,6 +164,31 @@ def test_catenate_rejects_mixed_accounts():
         cpqa.catenate_and_attrite(a, b)
 
 
+def test_version_kept_again_keeps_its_working_set():
+    acct = mk_account()
+    q1 = build(acct, range(10, 30))
+    q2 = build(acct, range(0, 5))
+    before = q2.resident
+    assert before
+    out = cpqa.catenate_and_attrite(q1, q2)  # q2's minimum attrites all of q1
+    assert out is q2
+    assert out.resident is before
+
+
+def test_empty_version_has_no_working_set():
+    assert cpqa.empty(mk_account()).resident == ()
+
+
+def test_critical_records_of_a_version_never_handed_out():
+    acct = mk_account()
+    rc = cpqa._new_record(acct, cpqa._Buf.of([Element(3), Element(4)]))
+    rd = cpqa._new_record(acct, cpqa._Buf.of([Element(10), Element(11)]))
+    q = Queue(acct, PDeque.of([rc]), PDeque.empty(), (PDeque.of([rd]),), Element(3))
+    assert cpqa.critical_records(q) == (rc, rd)
+    acct.pin(rc.rid)
+    assert acct.pinned_words == 2
+
+
 def test_drain_is_repeatable():
     acct = mk_account()
     q = build(acct, range(30))
