@@ -167,6 +167,8 @@ class IoAccount:
     # -- registry and pins ------------------------------------------------
 
     def register(self, handle: int, words: int) -> None:
+        """Make a handle of the given size pinnable. The registration lasts
+        until the handle is unpinned."""
         self._registry[handle] = words
 
     def pin(self, handle: int) -> None:
@@ -184,9 +186,11 @@ class IoAccount:
             self.violation = True
 
     def unpin(self, handle: int) -> None:
+        """Release a pin and the handle's registration with it."""
         if handle not in self._pinned:
             raise PinError("unpin of handle %r that is not pinned" % handle)
         self._pinned_words -= self._pinned.pop(handle)
+        del self._registry[handle]
 
     def is_pinned(self, handle: int) -> bool:
         return handle in self._pinned

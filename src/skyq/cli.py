@@ -35,7 +35,6 @@ def run_equivalence(
     account = IoAccount(IoConfig(B, 4096 * B, b))
     qs = [cpqa.empty(account) for _ in range(pool)]
     refs: list[list] = [[] for _ in range(pool)]
-    cache = cpqa.ValidationCache()
     nops = 0
     mismatch = None
     violations: list[str] = []
@@ -91,7 +90,7 @@ def run_equivalence(
                 break
         if validate_every and nops % validate_every == 0:
             tgt = op[1] if len(op) > 1 else 0
-            bad = cpqa.validate(qs[tgt], cache)
+            bad = cpqa.validate(qs[tgt])
             if bad:
                 violations.extend("op %d: %s" % (nops, msg) for msg in bad)
                 break

@@ -52,7 +52,8 @@ operations join it. When the outermost operation exits, held buffers
 handed-out version's working set are written back, ceil(words / B) block
 writes per backing run above its flushed watermark; buffers shorter than b
 words live in the version's guaranteed memory allowance and are never
-flushed.
+flushed. critical_records names the records worth pinning and registers
+nothing: whoever pins a record registers it with the account first.
 """
 
 from __future__ import annotations
@@ -90,7 +91,6 @@ __all__ = [
     "total_records",
     "drain",
     "validate",
-    "ValidationCache",
     "dump",
 ]
 
@@ -160,11 +160,6 @@ class _Buf:
     def __len__(self) -> int:
         return self.stop - self.start
 
-    def __iter__(self) -> Iterator[Element]:
-        backing = self.backing
-        for i in range(self.start, self.stop):
-            yield backing[i]
-
     def reversed(self) -> Iterator[Element]:
         backing = self.backing
         for i in range(self.stop - 1, self.start - 1, -1):
@@ -173,10 +168,6 @@ class _Buf:
     @property
     def first(self) -> Element:
         return self.backing[self.start]
-
-    @property
-    def last(self) -> Element:
-        return self.backing[self.stop - 1]
 
     @property
     def min_key(self):
@@ -449,13 +440,10 @@ def delta(Q: Queue) -> int:
 
 def critical_records(Q: Queue) -> tuple[Record, ...]:
     """The records an operation on this version may touch; pin these to
-    keep the version's operations free of cold reads. Registers each one
-    with the account, so its handle can be pinned."""
-    focal = Q.focal if Q.focal is not None else _focal_records(Q)
-    register = Q.account.register
-    for rec in focal:
-        register(rec.rid, rec.size)
-    return focal
+    keep the version's operations free of cold reads. A pure query: the
+    caller registers each record (rid, size) with the account before
+    pinning it."""
+    return Q.focal if Q.focal is not None else _focal_records(Q)
 
 
 # -- attrition surgery helpers ----------------------------------------------
@@ -990,28 +978,24 @@ def record_count(Q: Queue) -> int:
     return len(Q.C) + len(Q.Bq) + sum(len(d) for d in Q.D)
 
 
-def _iter_queue_records(Q: Queue) -> Iterator[Record]:
-    for dq in (Q.C, Q.Bq, *Q.D):
-        for rec in dq:
-            yield rec
+def _versions(Q: Queue) -> Iterator[Queue]:
+    """Each version reachable from Q exactly once, depth first: a version
+    before its children, and children in record order."""
+    seen: set[int] = set()
+    stack = [Q]
+    while stack:
+        q = stack.pop()
+        if q.qid in seen:
+            continue
+        seen.add(q.qid)
+        yield q
+        kids = [rec.child for dq in (q.C, q.Bq, *q.D) for rec in dq if rec.child is not None]
+        stack.extend(reversed(kids))
 
 
 def total_records(Q: Queue) -> int:
     """Records reachable from this version, children included."""
-    seen_q: set[int] = set()
-    seen_r: set[int] = set()
-    stack = [Q]
-    while stack:
-        q = stack.pop()
-        if q.qid in seen_q:
-            continue
-        seen_q.add(q.qid)
-        for rec in _iter_queue_records(q):
-            if rec.rid not in seen_r:
-                seen_r.add(rec.rid)
-                if rec.child is not None:
-                    stack.append(rec.child)
-    return len(seen_r)
+    return len({rec.rid for q in _versions(Q) for dq in (q.C, q.Bq, *q.D) for rec in dq})
 
 
 def logical_elements(Q: Queue) -> list[Element]:
@@ -1053,205 +1037,86 @@ def size_elements(Q: Queue) -> int:
 # -- validation ----------------------------------------------------------------
 
 
-class _Summary:
-    __slots__ = (
-        "count",
-        "first",
-        "last",
-        "chain_ok",
-        "all_simple",
-        "min_key",
-        "max_size",
-        "has_empty",
-        "children",
-    )
-
-    def __init__(self, count, first, last, chain_ok, all_simple, min_key, max_size, has_empty, children):
-        self.count = count
-        self.first = first
-        self.last = last
-        self.chain_ok = chain_ok
-        self.all_simple = all_simple
-        self.min_key = min_key
-        self.max_size = max_size
-        self.has_empty = has_empty
-        self.children = children
-
-
-class ValidationCache:
-    """Memoizes per-version and per-spine-node results across validate calls."""
-
-    def __init__(self):
-        self.ok: set[int] = set()
-        self.nodes: dict[int, _Summary] = {}
-        self.keep: list = []  # holds spine nodes alive so ids stay unique
-
-
-def _summarize(node, cache: ValidationCache) -> _Summary:
-    memo = cache.nodes
-    got = memo.get(id(node))
-    if got is not None:
-        return got
-    stack = [(node, False)]
-    while stack:
-        nd, expanded = stack.pop()
-        if id(nd) in memo:
-            continue
-        if nd.height == 1:
-            rec: Record = nd.item
-            buf_ok = rec.size > 0
-            memo[id(nd)] = _Summary(
-                1,
-                rec,
-                rec,
-                buf_ok,
-                rec.child is None,
-                rec.min_key if rec.size else None,
-                rec.size,
-                rec.size == 0,
-                (rec,) if rec.child is not None else (),
-            )
-            cache.keep.append(nd)
-            continue
-        if not expanded:
-            stack.append((nd, True))
-            stack.append((nd.left, False))
-            stack.append((nd.right, False))
-            continue
-        ls = memo[id(nd.left)]
-        rs = memo[id(nd.right)]
-        chain = (
-            ls.chain_ok
-            and rs.chain_ok
-            and ls.last.size > 0
-            and rs.first.size > 0
-            and ls.last.max_key < rs.first.min_key
-        )
-        min_key = ls.min_key
-        if rs.min_key is not None and (min_key is None or rs.min_key < min_key):
-            min_key = rs.min_key
-        memo[id(nd)] = _Summary(
-            ls.count + rs.count,
-            ls.first,
-            rs.last,
-            chain,
-            ls.all_simple and rs.all_simple,
-            min_key,
-            ls.max_size if ls.max_size > rs.max_size else rs.max_size,
-            ls.has_empty or rs.has_empty,
-            ls.children + rs.children,
-        )
-        cache.keep.append(nd)
-    return memo[id(node)]
-
-
-def _validate_one(q: Queue, cache: ValidationCache, b: int) -> tuple[list[str], list[Queue]]:
-    bad: list[str] = []
-    children: list[Queue] = []
+def _validate_one(q: Queue, b: int) -> list[str]:
+    """Invariant violations of one version, not looking into its children."""
     if q.cached_min is None:
-        if q.C or q.Bq or q.D:
-            bad.append("shape: empty version holds records")
-        return bad, children
-    if not q.C:
+        return ["shape: empty version holds records"] if q.C or q.Bq or q.D else []
+    bad: list[str] = []
+    C, Bq, D = q.C, q.Bq, q.D
+    if not C:
         bad.append("shape: no clean records on a nonempty version")
-    for dq in q.D:
+    if not all(D):
+        bad.append("shape: empty dirty deque")
+        return bad
+    dirty_min = None
+    names = ["C", "B"] + ["D%d" % (i + 1) for i in range(len(D))]
+    for name, dq in zip(names, (C, Bq, *D)):
         if not dq:
-            bad.append("shape: empty dirty deque")
-            return bad, children
-    summaries = []
-    names = ["C", "B"] + ["D%d" % (i + 1) for i in range(len(q.D))]
-    for name, dq in zip(names, (q.C, q.Bq, *q.D)):
-        if not dq:
-            summaries.append(None)
             continue
-        s = _summarize(dq._root, cache)
-        summaries.append(s)
-        if s.has_empty:
+        dirty = name[0] == "D"
+        empty = disorder = oversize = carries = False
+        prev = None
+        for rec in dq:
+            if not rec.size:
+                empty = True
+            else:
+                if prev is not None and prev.size and prev.max_key >= rec.min_key:
+                    disorder = True
+                if dirty and (dirty_min is None or rec.min_key < dirty_min):
+                    dirty_min = rec.min_key
+            if rec.size > 5 * b:
+                oversize = True
+            child = rec.child
+            if child is not None:
+                carries = True
+                # records with children belong in dirty deques; check their fences
+                if dirty and child.cached_min is None:
+                    bad.append("child-placement: record points at an empty child")
+                elif dirty and rec.max_key >= child.cached_min.key:
+                    bad.append("child-order: record buffer reaches into its child")
+            prev = rec
+        if empty:
             bad.append("buffer-empty: %s holds a record with no elements" % name)
-        if not s.chain_ok:
+        if empty or disorder:
             bad.append("record-order: %s records are not strictly increasing" % name)
-        if s.max_size > 5 * b:
+        if oversize:
             bad.append("buffer-bounds: %s holds a record above 5b words" % name)
-        children.extend(rec.child for rec in s.children if rec.child is not None)
-    sC, sB = summaries[0], summaries[1]
-    sD = summaries[2:]
-    if sC is not None and not sC.all_simple:
-        bad.append("child-placement: clean record carries a child")
-    if sB is not None and not sB.all_simple:
-        bad.append("child-placement: buffered record carries a child")
-    if sC is not None:
-        if sB is not None and not (sC.last.size and sB.first.size and sC.last.max_key < sB.first.min_key):
+        if carries and not dirty:
+            kind = "clean" if name == "C" else "buffered"
+            bad.append("child-placement: %s record carries a child" % kind)
+    if C:
+        tail = C.last()
+        if Bq and not (tail.size and Bq.first().size and tail.max_key < Bq.first().min_key):
             bad.append("record-order: clean tail not below buffer head")
-        if sD and sD[0] is not None and not (sC.last.size and sD[0].first.size and sC.last.max_key < sD[0].first.min_key):
+        if D and not (tail.size and D[0].first().size and tail.max_key < D[0].first().min_key):
             bad.append("record-order: clean tail not below first dirty record")
-    if sD:
-        lead = sD[0].first.min_key if sD[0].first.size else None
-        for s in sD:
-            if lead is None or (s.min_key is not None and s.min_key < lead):
-                bad.append("dirty-min: first dirty record does not hold the dirty minimum")
-                break
+    if D:
+        lead = D[0].first()
+        if not lead.size or dirty_min < lead.min_key:
+            bad.append("dirty-min: first dirty record does not hold the dirty minimum")
     if delta(q) < 0:
         bad.append("state-counter: delta is negative")
-    front = _front_element(q.C, q.Bq, q.D)
+    front = _front_element(C, Bq, D)
     if front is None or front.key != q.cached_min.key:
         bad.append("min-cache: cached minimum differs from the physical front")
-    if sD:
-        tail = sD[-1].last
+    if D:
+        tail = D[-1].last()
         if tail.size < b and tail.child is not None:
             bad.append("tail-record: short dirty tail carries a child")
-    if not _is_small_rep(q) and q.C and len(q.C) == 1 and not q.Bq and not q.D:
-        rec = q.C.first()
+    if len(C) == 1 and not Bq and not D:
+        rec = C.first()
         if rec.size < b and rec.child is not None:
             bad.append("tail-record: short single record carries a child")
-    # records with children belong in dirty deques; check their fences
-    for s in sD:
-        for rec in s.children:
-            child = rec.child
-            if child.cached_min is None:
-                bad.append("child-placement: record points at an empty child")
-            elif rec.max_key >= child.cached_min.key:
-                bad.append("child-order: record buffer reaches into its child")
-    return bad, children
+    return bad
 
 
-def validate(Q: Queue, cache: ValidationCache | None = None) -> list[str]:
-    """All invariant violations reachable from this version; [] when sound."""
-    if cache is None:
-        cache = ValidationCache()
+def validate(Q: Queue) -> list[str]:
+    """All invariant violations reachable from this version, a version's
+    before its children's; [] when sound."""
     account = Q.account
     b = account.cfg.b
-    out: list[str] = []
     with account.suspended():
-        # post-order over the version DAG so a version is marked sound only
-        # when its children are
-        state: dict[int, bool] = {}
-        pending: dict[int, tuple[list[str], list[Queue]]] = {}
-        stack: list[tuple[Queue, bool]] = [(Q, False)]
-        while stack:
-            q, expanded = stack.pop()
-            if q.qid in cache.ok or q.qid in state:
-                continue
-            if not expanded:
-                if q.qid in pending:
-                    continue
-                found = _validate_one(q, cache, b)
-                pending[q.qid] = found
-                stack.append((q, True))
-                for kid in found[1]:
-                    if kid.qid not in cache.ok and kid.qid not in state and kid.qid not in pending:
-                        stack.append((kid, False))
-                continue
-            bad, kids = pending.pop(q.qid)
-            ok = not bad
-            for kid in kids:
-                if kid.qid not in cache.ok and not state.get(kid.qid, False):
-                    ok = False
-            for msg in bad:
-                out.append("q%d %s" % (q.qid, msg))
-            state[q.qid] = ok
-            if ok:
-                cache.ok.add(q.qid)
-    return out
+        return ["q%d %s" % (q.qid, msg) for q in _versions(Q) for msg in _validate_one(q, b)]
 
 
 # -- debugging -----------------------------------------------------------------
@@ -1259,25 +1124,14 @@ def validate(Q: Queue, cache: ValidationCache | None = None) -> list[str]:
 
 def dump(Q: Queue) -> str:
     """Text layout of a version and its children, queue ids local to the dump."""
-    lines: list[str] = []
-    local: dict[int, int] = {}
-    order: list[Queue] = []
-
-    def visit(q: Queue):
-        if q.qid in local:
-            return
-        local[q.qid] = len(local)
-        order.append(q)
-        for rec in _iter_queue_records(q):
-            if rec.child is not None:
-                visit(rec.child)
-
-    visit(Q)
+    order = list(_versions(Q))
+    local = {q.qid: i for i, q in enumerate(order)}
 
     def fmt(rec: Record) -> str:
         child = "-" if rec.child is None else "q%d" % local[rec.child.qid]
         return "(%s..%s,n=%d,child=%s)" % (rec.min_key, rec.max_key, rec.size, child)
 
+    lines: list[str] = []
     for q in order:
         mink = "-" if q.cached_min is None else repr(q.cached_min.key)
         lines.append("queue q%d delta=%d min=%s" % (local[q.qid], delta(q), mink))

@@ -209,13 +209,15 @@ class SkylineIndex:
 
     @contextmanager
     def _pinning(self, queues):
-        """Pin the critical records of the given queues that are not pinned
-        yet, and unpin exactly those on exit."""
+        """Register and pin the critical records of the given queues that
+        are not pinned yet, and unpin exactly those on exit, which drops
+        their registrations."""
         account = self.account
         mine = []
         for q in queues:
             for rec in cpqa.critical_records(q):
                 if not account.is_pinned(rec.rid):
+                    account.register(rec.rid, rec.size)
                     account.pin(rec.rid)
                     mine.append(rec.rid)
         try:

@@ -176,6 +176,7 @@ def test_5_prepared_concat_is_read_free():
         assert cpqa.delta(q) >= 2
         for rec in cpqa.critical_records(q):
             if not acct.is_pinned(rec.rid):
+                acct.register(rec.rid, rec.size)
                 acct.pin(rec.rid)
                 pinned.append(rec.rid)
         queues.append(q)

@@ -88,7 +88,6 @@ def drift_stream(seed, count, warm=60, dip=0.08, cat=0.35, dmin=0.2):
 def run_stream(B, b, ops):
     acct = IoAccount(IoConfig(B, 4096 * B, b))
     qs = [cpqa.empty(acct)] * POOL
-    cache = cpqa.ValidationCache()
     for op in ops:
         dst = op[1]
         if op[0] == "insert":
@@ -97,7 +96,7 @@ def run_stream(B, b, ops):
             qs[dst] = cpqa.catenate_and_attrite(qs[op[2]], qs[op[3]])
         elif qs[op[2]].cached_min is not None:  # the fault can empty a slot early
             qs[dst] = cpqa.delete_min(qs[op[2]])[1]
-        assert cpqa.validate(qs[dst], cache) == [], op
+        assert cpqa.validate(qs[dst]) == [], op
     return acct.counters.reads, acct.counters.writes, acct.max_op_blocks
 
 

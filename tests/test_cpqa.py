@@ -5,6 +5,9 @@ sequences against the list reference model with structural validation after
 every step.
 """
 
+import random
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -185,6 +188,7 @@ def test_critical_records_of_a_version_never_handed_out():
     rd = cpqa._new_record(acct, cpqa._Buf.of([Element(10), Element(11)]))
     q = Queue(acct, PDeque.of([rc]), PDeque.empty(), (PDeque.of([rd]),), Element(3))
     assert cpqa.critical_records(q) == (rc, rd)
+    acct.register(rc.rid, rc.size)
     acct.pin(rc.rid)
     assert acct.pinned_words == 2
 
@@ -231,29 +235,165 @@ def test_dump_golden():
     )
 
 
-def test_validate_flags_record_disorder():
-    acct = mk_account()
-    r1 = cpqa._new_record(acct, cpqa._Buf.of([Element(5), Element(9)]))
-    r2 = cpqa._new_record(acct, cpqa._Buf.of([Element(3), Element(4)]))
-    bad = Queue(acct, PDeque.of([r1, r2]), PDeque.empty(), (), Element(5))
+def rec(acct, keys, child=None):
+    return cpqa._new_record(acct, cpqa._Buf.of([Element(k) for k in keys]), child)
+
+
+def version(acct, C=(), Bq=(), D=(), low=None):
+    return Queue(
+        acct,
+        PDeque.of(C),
+        PDeque.of(Bq),
+        tuple(PDeque.of(d) for d in D),
+        None if low is None else Element(low),
+    )
+
+
+# One hand-built bad version per message validate can emit: each builder
+# takes an account (b=4) and returns the version and the messages it must get.
+VALIDATE_CASES = {
+    "shape-empty-version": lambda a: (
+        version(a, C=[rec(a, [3])]),
+        ["shape: empty version holds records"],
+    ),
+    "shape-no-clean": lambda a: (
+        version(a, Bq=[rec(a, [3, 4])], low=3),
+        ["shape: no clean records on a nonempty version"],
+    ),
+    "shape-empty-dirty-deque": lambda a: (
+        version(a, C=[rec(a, [1, 2])], D=[[]], low=1),
+        ["shape: empty dirty deque"],
+    ),
+    "buffer-empty": lambda a: (
+        version(a, C=[rec(a, [1, 2]), rec(a, [])], low=1),
+        [
+            "buffer-empty: C holds a record with no elements",
+            "record-order: C records are not strictly increasing",
+        ],
+    ),
+    "record-order-deque": lambda a: (
+        version(a, C=[rec(a, [5, 9]), rec(a, [3, 4])], low=5),
+        ["record-order: C records are not strictly increasing"],
+    ),
+    "record-order-clean-buffer": lambda a: (
+        version(a, C=[rec(a, [1, 5])], Bq=[rec(a, [3, 4])], low=1),
+        ["record-order: clean tail not below buffer head"],
+    ),
+    "record-order-clean-dirty": lambda a: (
+        version(a, C=[rec(a, [1, 5])], D=[[rec(a, [3, 4])]], low=1),
+        ["record-order: clean tail not below first dirty record"],
+    ),
+    "buffer-bounds": lambda a: (
+        version(a, C=[rec(a, range(21))], low=0),
+        ["buffer-bounds: C holds a record above 5b words"],
+    ),
+    "child-placement-clean": lambda a: (
+        version(a, C=[rec(a, [1, 2], build(a, [50, 51]))], low=1),
+        ["child-placement: clean record carries a child"],
+    ),
+    "child-placement-buffered": lambda a: (
+        version(a, C=[rec(a, [1, 2])], Bq=[rec(a, [5, 6], build(a, [50, 51]))], low=1),
+        ["child-placement: buffered record carries a child"],
+    ),
+    "child-placement-empty-child": lambda a: (
+        version(a, C=[rec(a, [1, 2])], D=[[rec(a, [5, 6, 7, 8], cpqa.empty(a))]], low=1),
+        ["child-placement: record points at an empty child"],
+    ),
+    "dirty-min": lambda a: (
+        version(a, C=[rec(a, [1, 2])], D=[[rec(a, [10, 11])], [rec(a, [5, 6])]], low=1),
+        ["dirty-min: first dirty record does not hold the dirty minimum"],
+    ),
+    "state-counter": lambda a: (
+        version(a, C=[rec(a, [1, 2])], D=[[rec(a, [5, 6]), rec(a, [7, 8])]], low=1),
+        ["state-counter: delta is negative"],
+    ),
+    "min-cache": lambda a: (
+        version(a, C=[rec(a, [3, 4])], low=7),
+        ["min-cache: cached minimum differs from the physical front"],
+    ),
+    "tail-record-dirty": lambda a: (
+        version(a, C=[rec(a, [1, 2])], D=[[rec(a, [5, 6], build(a, [50, 51]))]], low=1),
+        ["tail-record: short dirty tail carries a child"],
+    ),
+    "tail-record-single": lambda a: (
+        version(a, C=[rec(a, [1, 2], build(a, [50, 51]))], low=1),
+        ["tail-record: short single record carries a child"],
+    ),
+    "child-order": lambda a: (
+        version(a, C=[rec(a, [1, 2])], D=[[rec(a, [5, 6, 7, 60], build(a, [50, 51]))]], low=1),
+        ["child-order: record buffer reaches into its child"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATE_CASES))
+def test_validate_flags(case):
+    bad, want = VALIDATE_CASES[case](mk_account())
     out = cpqa.validate(bad)
-    assert any("record-order" in v for v in out)
+    for msg in want:
+        assert "q%d %s" % (bad.qid, msg) in out, out
 
 
-def test_validate_flags_stale_min_cache():
+def test_validate_flags_a_fault_in_a_child_version():
     acct = mk_account()
-    rec = cpqa._new_record(acct, cpqa._Buf.of([Element(3), Element(4)]))
-    bad = Queue(acct, PDeque.of([rec]), PDeque.empty(), (), Element(7))
-    out = cpqa.validate(bad)
-    assert any("min-cache" in v for v in out)
+    stale = version(acct, C=[rec(acct, [50, 51, 52, 53])], low=52)
+    sound = version(acct, C=[rec(acct, [1, 2, 3, 4])], D=[[rec(acct, [5, 6, 7, 8], stale)]], low=1)
+    assert cpqa.validate(sound) == [
+        "q%d min-cache: cached minimum differs from the physical front" % stale.qid
+    ]
 
 
-def test_validate_flags_empty_version_with_records():
-    acct = mk_account()
-    rec = cpqa._new_record(acct, cpqa._Buf.of([Element(3)]))
-    bad = Queue(acct, PDeque.of([rec]), PDeque.empty(), (), None)
-    out = cpqa.validate(bad)
-    assert any("shape" in v for v in out)
+def drift_versions(acct, seed, count, pool=4, warm=50):
+    """Versions from a stream over a pool of slots: warm inserts per slot,
+    then inserts just above (now and then below) the source slot's top key
+    mixed with catenates and delete_min. It builds dirty records that carry
+    children."""
+    rng = random.Random(seed)
+    qs = [cpqa.empty(acct)] * pool
+    tops = [0] * pool
+    for i in range(count):
+        dst, src = (i % pool,) * 2 if i < warm * pool else (rng.randrange(pool), rng.randrange(pool))
+        r = rng.random() if i >= warm * pool else 1.0
+        if r < 0.3:
+            other = rng.randrange(pool)
+            qs[dst] = cpqa.catenate_and_attrite(qs[src], qs[other])
+            tops[dst] = tops[other] if qs[other].cached_min is not None else tops[src]
+        elif r < 0.5:
+            if qs[src].cached_min is None:
+                continue
+            qs[dst] = cpqa.delete_min(qs[src])[1]
+            tops[dst] = tops[src]
+        else:
+            step = -rng.randrange(1, 300) if rng.random() < 0.1 else rng.randrange(1, 50)
+            tops[dst] = tops[src] + step
+            qs[dst] = cpqa.insert_and_attrite(qs[src], tops[dst])
+        yield qs[dst]
+
+
+def count_records(q, seen_q, seen_r):
+    if q.qid in seen_q:
+        return
+    seen_q.add(q.qid)
+    for dq in (q.C, q.Bq, *q.D):
+        for r in dq:
+            seen_r.add(r.rid)
+            if r.child is not None:
+                count_records(r.child, seen_q, seen_r)
+
+
+def test_total_records_and_dump_reach_every_child():
+    acct = mk_account(b=4, B=16)
+    nested = 0
+    for q in drift_versions(acct, 0, 600):
+        seen_r = set()
+        count_records(q, set(), seen_r)
+        assert cpqa.total_records(q) == len(seen_r)
+        text = cpqa.dump(q)
+        headers = set(re.findall(r"^queue (q\d+) ", text, re.M))
+        assert set(re.findall(r"child=(q\d+)", text)) <= headers
+        assert len(headers) == text.count("queue q")
+        nested += len(headers) > 1
+    assert nested > 0
 
 
 def test_concat_sequence_folds_in_order():

@@ -8,8 +8,8 @@ import random
 
 from skyq import cpqa, oracle
 from skyq.blockio import IoAccount, IoConfig
-from skyq.cli import run_equivalence
-from skyq.cpqa import Element
+from skyq.cli import main, run_equivalence
+from skyq.cpqa import Element, Queue
 
 
 def test_driver_reports_clean_run():
@@ -26,13 +26,40 @@ def test_driver_multiple_seeds_small():
         assert r["violations"] == []
 
 
-def test_driver_detects_planted_fault():
-    # the harness must be able to fail: compare against a deliberately
-    # shifted reference by replaying with a different seed
-    a = run_equivalence(5, 1500, 8, B=32, b=4)
-    b = run_equivalence(6, 1500, 8, B=32, b=4)
-    assert a["ok"] and b["ok"]
-    assert a["counters"].reads >= 0  # counters exposed for inspection
+def test_driver_detects_planted_fault(monkeypatch, capsys):
+    # the harness must be able to fail: delete_min reports a wrong element
+    real = cpqa.delete_min
+
+    def wrong(Q):
+        el, rest = real(Q)
+        return Element(el.key + 1, el.payload), rest
+
+    monkeypatch.setattr(cpqa, "delete_min", wrong)
+    r = run_equivalence(5, 1500, 8, B=32, b=4)
+    assert not r["ok"]
+    assert "!=" in r["mismatch"]
+    assert r["violations"] == []
+    argv = ["--seed", "5", "--ops", "1500", "--pool", "8", "--B", "32", "--b", "4"]
+    assert main(["run", *argv]) == 2
+    assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_driver_detects_planted_violation(monkeypatch, capsys):
+    # insert_and_attrite hands out a version whose cached minimum is stale
+    real = cpqa.insert_and_attrite
+
+    def stale(Q, e):
+        out = real(Q, e)
+        return Queue(out.account, out.C, out.Bq, out.D, Element(out.cached_min.key + 1))
+
+    monkeypatch.setattr(cpqa, "insert_and_attrite", stale)
+    r = run_equivalence(5, 1500, 8, B=32, b=4, validate_every=1)
+    assert not r["ok"]
+    assert r["violations"]
+    assert all("min-cache" in v for v in r["violations"])
+    argv = ["--seed", "5", "--ops", "1500", "--pool", "8", "--B", "32", "--b", "4"]
+    assert main(["validate", *argv, "--every", "1"]) == 3
+    assert "min-cache" in capsys.readouterr().out
 
 
 def test_persistence_under_generated_stream():

@@ -186,21 +186,21 @@ def test_pins_released_after_every_operation():
     live = {x: (x, rng.randrange(10_000)) for x in xs[:600]}
     idx = SkylineIndex(live.values(), B=16, epsilon=0.5)
     acct = idx.account
-    assert acct.pinned_words == 0
+    assert acct.pinned_words == 0 and not acct._registry
     for x in xs[600:]:
         lo, hi, ym = rng.randrange(100_000), rng.randrange(100_000), rng.randrange(10_000)
         assert idx.query3(lo, hi, ym) == naive_query3(list(live.values()), lo, hi, ym)
-        assert acct.pinned_words == 0
+        assert acct.pinned_words == 0 and not acct._registry
         live[x] = (x, rng.randrange(10_000))
         idx.insert(live[x])
-        assert acct.pinned_words == 0
+        assert acct.pinned_words == 0 and not acct._registry
         with pytest.raises(ValueError):
             idx.insert((x, 1))
-        assert acct.pinned_words == 0
+        assert acct.pinned_words == 0 and not acct._registry
         assert idx.delete(live.pop(rng.choice(list(live))))
-        assert acct.pinned_words == 0
+        assert acct.pinned_words == 0 and not acct._registry
     assert idx.maxima() == naive_maxima(list(live.values()))
-    assert acct.pinned_words == 0
+    assert acct.pinned_words == 0 and not acct._registry
     assert acct.counters.peak_pinned_words > 0
 
 
