@@ -77,6 +77,7 @@ __all__ = [
     "Record",
     "empty",
     "singleton",
+    "from_run",
     "find_min",
     "delete_min",
     "insert_and_attrite",
@@ -426,6 +427,25 @@ def singleton(account: IoAccount, e) -> Queue:
     e = _as_element(e)
     with _op(account):
         return _unit(account, e)
+
+
+def from_run(account: IoAccount, elements) -> Queue:
+    """The version that inserting at most b elements, in order, into an empty
+    queue gives: one right-to-left sweep keeps each element whose key is
+    below every key after it, in one short simple record."""
+    items = [_as_element(e) for e in elements]
+    if len(items) > account.cfg.b:
+        raise ValueError("from_run takes at most b=%d elements" % account.cfg.b)
+    keep: list[Element] = []
+    for el in reversed(items):
+        if not keep or el.key < keep[-1].key:
+            keep.append(el)
+    if not keep:
+        return empty(account)
+    keep.reverse()
+    with _op(account):
+        rec = _new_record(account, _Buf.of(keep))
+        return _keep(account, Queue(account, PDeque.of([rec]), PDeque.empty(), (), keep[0]))
 
 
 def find_min(Q: Queue) -> Element:
@@ -1048,7 +1068,7 @@ def _validate_one(q: Queue, b: int) -> list[str]:
     if not all(D):
         bad.append("shape: empty dirty deque")
         return bad
-    dirty_min = None
+    dirty_min = front = None
     names = ["C", "B"] + ["D%d" % (i + 1) for i in range(len(D))]
     for name, dq in zip(names, (C, Bq, *D)):
         if not dq:
@@ -1060,8 +1080,12 @@ def _validate_one(q: Queue, b: int) -> list[str]:
             if not rec.size:
                 empty = True
             else:
+                if front is None:
+                    front = rec.buf.first
                 if prev is not None and prev.size and prev.max_key >= rec.min_key:
                     disorder = True
+                elif not disorder:
+                    disorder = any(x.key >= y.key for x, y in itertools.pairwise(rec.buf.tolist()))
                 if dirty and (dirty_min is None or rec.min_key < dirty_min):
                     dirty_min = rec.min_key
             if rec.size > 5 * b:
@@ -1096,7 +1120,7 @@ def _validate_one(q: Queue, b: int) -> list[str]:
             bad.append("dirty-min: first dirty record does not hold the dirty minimum")
     if delta(q) < 0:
         bad.append("state-counter: delta is negative")
-    front = _front_element(C, Bq, D)
+    # the physical front is the first element of the first nonempty record
     if front is None or front.key != q.cached_min.key:
         bad.append("min-cache: cached minimum differs from the physical front")
     if D:

@@ -2,10 +2,12 @@
 
 Points live in the leaves of a balanced order tree keyed by x. Every node
 carries a persistent queue version holding the maxima staircase of its
-subtree: points are fed left to right with key (-y, x), so appending a point
-attrites exactly the earlier points it dominates. An internal node's
-staircase is the attriting catenation of its children's staircases, which the
-queues fold in O(1) block transfers per node.
+subtree: points are taken left to right with key (-y, -x) (skyline_key), so
+appending a point attrites exactly the earlier points it dominates. A leaf
+holds at most b points, so its staircase is built by one right-to-left sweep
+into one record (cpqa.from_run). An internal node's staircase is the
+attriting catenation of its children's staircases, which the queues fold in
+O(1) block transfers per node.
 
 A 3-sided query (x in [lo, hi], y >= ymin) decomposes the x-band into O(log n)
 canonical subtrees, catenates their staircases in x order, and drains the
@@ -227,10 +229,7 @@ class SkylineIndex:
                 account.unpin(rid)
 
     def _fold_points(self, pts):
-        q = cpqa.empty(self.account)
-        for p in pts:
-            q = cpqa.insert_and_attrite(q, cpqa.Element(skyline_key(p), p))
-        return self._prep(q)
+        return cpqa.from_run(self.account, [cpqa.Element(skyline_key(p), p) for p in pts])
 
     def _prep(self, q):
         while (q.Bq or q.D) and cpqa.delta(q) < 2:

@@ -118,14 +118,26 @@ def test_drift_stream_fingerprint_and_path_census(monkeypatch, B, b, want):
     assert seen == set(PATHS)
 
 
-def test_skyline_run_reads():
+def skyline_run_reads(B, epsilon):
+    """Reads of a 3,000-point build followed by 40 insert/delete/query3 rounds."""
     rng = random.Random(5)
     xs = rng.sample(range(30_000), 3040)
     ys = rng.sample(range(30_000), 3040)
-    idx = SkylineIndex(list(zip(xs[:3000], ys[:3000])), B=16, epsilon=0.5)
+    idx = SkylineIndex(list(zip(xs[:3000], ys[:3000])), B=B, epsilon=epsilon)
     for i in range(40):
         idx.insert((xs[3000 + i], ys[3000 + i]))
         idx.delete((xs[i], ys[i]))
         lo = rng.randrange(30_000)
         idx.query3(lo, lo + 2000, rng.randrange(30_000))
-    assert idx.account.counters.reads == 2292
+    return idx.account.counters.reads
+
+
+def test_skyline_run_reads():
+    assert skyline_run_reads(16, 0.5) == 2292
+
+
+# b = 16 and b = 40: leaves long enough that a leaf's staircase is more
+# than a few points
+@pytest.mark.parametrize("B, epsilon, want", [(64, 1 / 3, 1656), (256, 1 / 3, 1176)])
+def test_skyline_run_reads_at_more_block_sizes(B, epsilon, want):
+    assert skyline_run_reads(B, epsilon) == want

@@ -5,6 +5,7 @@ sequences against the list reference model with structural validation after
 every step.
 """
 
+import itertools
 import random
 import re
 
@@ -60,6 +61,57 @@ def test_singleton():
     assert cpqa.delta(q) == 2
     assert cpqa.size_elements(q) == 1
     assert cpqa.validate(q) == []
+
+
+def weak_orders(n):
+    """Every key sequence of length n up to relabelling in order, ties included."""
+    for keys in itertools.product(range(n), repeat=n):
+        if set(keys) == set(range(max(keys, default=-1) + 1)):
+            yield keys
+
+
+def fold(acct, els):
+    q = cpqa.empty(acct)
+    for e in els:
+        q = cpqa.insert_and_attrite(q, e)
+    return q
+
+
+def built_and_charged(b, keys, make):
+    """The version make builds from keys inside an operation, the blocks
+    that call charged, and the blocks a charged drain of it charges."""
+    acct = mk_account(b=b, B=b)
+    with acct.operation():
+        q = make(acct, [Element(k, i) for i, k in enumerate(keys)])
+    built = (acct.counters.reads, acct.counters.writes)
+    cpqa.drain(q)
+    return q, built, (acct.counters.reads, acct.counters.writes)
+
+
+@pytest.mark.parametrize("b", range(1, 7))
+def test_from_run_matches_the_insert_fold(b):
+    for n in range(b + 1):
+        for keys in weak_orders(n):
+            got, got_built, got_all = built_and_charged(b, keys, cpqa.from_run)
+            want, want_built, want_all = built_and_charged(b, keys, fold)
+            assert cpqa.logical_elements(got) == cpqa.logical_elements(want), keys
+            assert got.cached_min == want.cached_min, keys
+            assert [r.size for r in cpqa.critical_records(got)] == [
+                r.size for r in cpqa.critical_records(want)
+            ], keys
+            assert (got_built, got_all) == (want_built, want_all), keys
+            assert cpqa.validate(got) == []
+            if n:
+                assert len(got.C) == 1 and got.C.first().simple, keys
+                assert not got.Bq and not got.D, keys
+            else:
+                assert cpqa.record_count(got) == 0
+
+
+def test_from_run_refuses_more_than_b_elements():
+    acct = mk_account(b=4)
+    with pytest.raises(ValueError):
+        cpqa.from_run(acct, range(5))
 
 
 def test_insert_attrites_tail():
@@ -310,6 +362,24 @@ VALIDATE_CASES = {
     "min-cache": lambda a: (
         version(a, C=[rec(a, [3, 4])], low=7),
         ["min-cache: cached minimum differs from the physical front"],
+    ),
+    "buffer-empty-front": lambda a: (
+        version(a, C=[rec(a, []), rec(a, [5, 6])], low=5),
+        [
+            "buffer-empty: C holds a record with no elements",
+            "record-order: C records are not strictly increasing",
+        ],
+    ),
+    "min-cache-behind-empty-front": lambda a: (
+        version(a, C=[rec(a, []), rec(a, [5, 6])], low=7),
+        [
+            "buffer-empty: C holds a record with no elements",
+            "min-cache: cached minimum differs from the physical front",
+        ],
+    ),
+    "record-order-buffer": lambda a: (
+        version(a, C=[rec(a, [1, 9, 3, 4])], low=1),
+        ["record-order: C records are not strictly increasing"],
     ),
     "tail-record-dirty": lambda a: (
         version(a, C=[rec(a, [1, 2])], D=[[rec(a, [5, 6], build(a, [50, 51]))]], low=1),
