@@ -972,8 +972,8 @@ def concat_sequence(queues: list[Queue]) -> Queue:
     for q in queues:
         if q.account is not account:
             raise ConfigMismatchError("queues charge different accounts")
-        if q.cached_min is None:
-            continue
+        if q.cached_min is None or not (q.Bq or q.D):
+            continue  # an all-clean nonempty version has delta |C| + 1 >= 2
         d = delta(q)
         if d >= 2:
             continue
@@ -986,7 +986,7 @@ def concat_sequence(queues: list[Queue]) -> Queue:
         acc = queues[-1]
         for q in reversed(queues[:-1]):
             acc = _catenate(account, q, acc, True)
-            while delta(acc) < 1 and (acc.Bq or acc.D):
+            while (acc.Bq or acc.D) and delta(acc) < 1:
                 acc = bias(acc)
         return _keep(account, acc)
 

@@ -1,20 +1,26 @@
 """Dynamic planar 3-sided range-skyline index over the attrition queues.
 
-Points live in the leaves of a balanced order tree keyed by x. Every node
-carries a persistent queue version holding the maxima staircase of its
-subtree: points are taken left to right with key (-y, -x) (skyline_key), so
-appending a point attrites exactly the earlier points it dominates. A leaf
-holds at most b points, so its staircase is built by one right-to-left sweep
-into one record (cpqa.from_run). An internal node's staircase is the
+Points live in a balanced order tree keyed by x. Every node holds one list,
+items, in x order: a leaf holds up to b points, an internal node up to
+2 * fanout children. Every node also carries a persistent queue version
+holding the maxima staircase of its subtree: points are taken left to right
+with key (-y, -x) (skyline_key), so appending a point attrites exactly the
+earlier points it dominates. A leaf's staircase is built by one right-to-left
+sweep into one record (cpqa.from_run). An internal node's staircase is the
 attriting catenation of its children's staircases, which the queues fold in
 O(1) block transfers per node.
+
+Updates keep every node within its capacity: a node over it splits in half,
+and the two halves are refreshed right first. A node left with fewer than
+max(1, capacity // 4) items merges with a neighbour, and if the merged list
+is over capacity, splits in half again.
 
 A 3-sided query (x in [lo, hi], y >= ymin) decomposes the x-band into O(log n)
 canonical subtrees, catenates their staircases in x order, and drains the
 result while y stays above the floor. Reported points arrive in increasing x
 and cost roughly one block per b points on top of the decomposition.
 
-Coordinates must be pairwise distinct in x and in y across the live set.
+Coordinates must be pairwise distinct in x across the live set.
 
 Block accounting: fetching a node costs one block for its routing data plus
 ceil(words / B) for the staircase records an operation may touch (its queue's
@@ -24,6 +30,7 @@ query or rebuild, so the queue machinery itself runs without hidden reads.
 
 from __future__ import annotations
 
+from bisect import insort
 from contextlib import contextmanager
 
 from . import cpqa
@@ -44,17 +51,19 @@ def skyline_key(point) -> tuple:
 
 def _derive_params(B: int, epsilon: float) -> tuple[int, int]:
     fanout = max(2, round(2 * B**epsilon))
-    leaf_cap = max(1, round(B ** (1.0 - epsilon)))
-    return fanout, leaf_cap
+    b = max(1, round(B ** (1.0 - epsilon)))
+    return fanout, b
 
 
 class _Node:
-    __slots__ = ("leaf", "points", "children", "queue", "xmin", "xmax", "count")
+    """A leaf's points or an internal node's children, in x order, and the
+    staircase and extent they make up."""
 
-    def __init__(self, leaf: bool):
+    __slots__ = ("leaf", "items", "queue", "xmin", "xmax", "count")
+
+    def __init__(self, leaf: bool, items: list):
         self.leaf = leaf
-        self.points: list = []
-        self.children: list[_Node] = []
+        self.items = items
         self.queue = None
         self.xmin = None
         self.xmax = None
@@ -71,11 +80,8 @@ class SkylineIndex:
     """
 
     def __init__(self, points=(), *, B: int = 64, epsilon: float = 1 / 3):
-        fanout, leaf_cap = _derive_params(B, epsilon)
-        self.fanout = fanout
-        self.leaf_cap = leaf_cap
-        self.account = IoAccount(IoConfig(B, 4096 * B, leaf_cap))
-        self.b = leaf_cap
+        self.fanout, self.b = _derive_params(B, epsilon)
+        self.account = IoAccount(IoConfig(B, 4096 * B, self.b))
         self.B = B
         self.root: _Node | None = None
         pts = sorted((p[0], p[1]) for p in points)
@@ -97,7 +103,7 @@ class SkylineIndex:
         x = point[0]
         while not node.leaf:
             node = self._child_for(node, x)
-        return point in node.points
+        return point in node.items
 
     def counters(self) -> IoCounters:
         return self.account.snapshot()
@@ -117,20 +123,13 @@ class SkylineIndex:
         """Maxima among the points with x in [x_lo, x_hi] and y >= y_min."""
         if self.root is None or x_lo > x_hi:
             return []
-        segments: list = []
+        whole: list = []
+        queues: list = []
         with self.account.operation():
-            self._decompose(self.root, x_lo, x_hi, segments)
-            queues = []
-            for kind, val in segments:
-                if kind == "node":
-                    queues.append(val.queue)
-                else:
-                    q = self._fold_points(val)
-                    if q.cached_min is not None:
-                        queues.append(q)
+            self._decompose(self.root, x_lo, x_hi, whole, queues)
             if not queues:
                 return []
-            with self._pinning(val.queue for kind, val in segments if kind == "node"):
+            with self._pinning(whole):
                 aux = cpqa.concat_sequence(queues)
                 out = []
                 while aux.cached_min is not None:
@@ -141,42 +140,36 @@ class SkylineIndex:
                     _, aux = cpqa.delete_min(aux)
         return out
 
-    def _decompose(self, node: _Node, lo, hi, segments: list) -> None:
-        # canonical cover of the x-band, segments kept in x order
+    def _decompose(self, node: _Node, lo, hi, whole: list, queues: list) -> None:
+        # canonical cover of the x-band, queues kept in x order: whole nodes'
+        # queues (also kept in whole, to be pinned), and the points of a leaf
+        # the band cuts, folded on the spot
         self._charge_node(node)
         if node.count == 0 or node.xmax < lo or node.xmin > hi:
             return
         if lo <= node.xmin and node.xmax <= hi:
-            segments.append(("node", node))
-            return
-        if node.leaf:
-            pts = [p for p in node.points if lo <= p[0] <= hi]
+            whole.append(node.queue)
+            queues.append(node.queue)
+        elif node.leaf:
+            pts = [p for p in node.items if lo <= p[0] <= hi]
             if pts:
-                segments.append(("points", pts))
-            return
-        for ch in node.children:
-            if ch.xmax is not None and ch.xmax >= lo and ch.xmin <= hi:
-                self._decompose(ch, lo, hi, segments)
+                queues.append(self._fold_points(pts))
+        else:
+            for ch in node.items:
+                if ch.xmax is not None and ch.xmax >= lo and ch.xmin <= hi:
+                    self._decompose(ch, lo, hi, whole, queues)
 
     # -- updates -----------------------------------------------------------------
 
     def insert(self, point) -> None:
         point = (point[0], point[1])
-        if self.root is None:
-            with self.account.operation():
-                leaf = _Node(True)
-                leaf.points = [point]
-                self._refresh_leaf(leaf)
-                self.root = leaf
-            return
         with self.account.operation():
+            if self.root is None:
+                self.root = self._node(True, [point])
+                return
             split = self._insert_rec(self.root, point)
             if split is not None:
-                old = self.root
-                root = _Node(False)
-                root.children = [old, split]
-                self._refresh_internal(root)
-                self.root = root
+                self.root = self._node(False, [self.root, split])
 
     def delete(self, point) -> bool:
         point = (point[0], point[1])
@@ -188,23 +181,23 @@ class SkylineIndex:
                 if self.root.count == 0:
                     self.root = None
                 else:
-                    while not self.root.leaf and len(self.root.children) == 1:
-                        self.root = self.root.children[0]
+                    while not self.root.leaf and len(self.root.items) == 1:
+                        self.root = self.root.items[0]
         return removed
 
     # -- node maintenance ----------------------------------------------------------
 
     def _child_for(self, node: _Node, x):
-        for ch in node.children[:-1]:
+        for ch in node.items[:-1]:
             if x <= ch.xmax:
                 return ch
-        return node.children[-1]
+        return node.items[-1]
 
     def _charge_node(self, node: _Node) -> None:
         # routing data plus the staircase records an operation may touch
         self.account.charge_read_words(self.B)
         q = node.queue
-        if q is not None and q.cached_min is not None:
+        if q.cached_min is not None:
             words = sum(r.size for r in cpqa.critical_records(q))
             if words:
                 self.account.charge_read_words(words)
@@ -236,134 +229,94 @@ class SkylineIndex:
             q = cpqa.bias(q)
         return q
 
-    def _refresh_leaf(self, node: _Node) -> None:
-        node.queue = self._fold_points(node.points)
-        node.count = len(node.points)
-        if node.points:
-            node.xmin = node.points[0][0]
-            node.xmax = node.points[-1][0]
-        else:
-            node.xmin = node.xmax = None
+    def _capacity(self, node: _Node) -> int:
+        return self.b if node.leaf else 2 * self.fanout
 
-    def _refresh_internal(self, node: _Node) -> None:
-        queues = [ch.queue for ch in node.children if ch.queue.cached_min is not None]
+    def _node(self, leaf: bool, items: list) -> _Node:
+        node = _Node(leaf, items)
+        self._refresh(node)
+        return node
+
+    def _refresh(self, node: _Node) -> None:
+        """Rebuild the node's staircase, count and extent from its items."""
+        items = node.items
+        if node.leaf:
+            node.queue = self._fold_points(items)
+            node.count = len(items)
+            node.xmin, node.xmax = (items[0][0], items[-1][0]) if items else (None, None)
+            return
+        queues = [ch.queue for ch in items if ch.queue.cached_min is not None]
         if queues:
             with self._pinning(queues):
                 node.queue = self._prep(cpqa.concat_sequence(queues))
         else:
             node.queue = cpqa.empty(self.account)
-        node.count = sum(ch.count for ch in node.children)
-        node.xmin = node.children[0].xmin
-        node.xmax = node.children[-1].xmax
+        node.count = sum(ch.count for ch in items)
+        node.xmin, node.xmax = items[0].xmin, items[-1].xmax
+
+    def _refresh_or_split(self, node: _Node) -> "_Node | None":
+        """Refresh the node, or split it in half when it is over capacity and
+        return the new right half."""
+        items = node.items
+        if len(items) <= self._capacity(node):
+            self._refresh(node)
+            return None
+        half = len(items) // 2
+        right = self._node(node.leaf, items[half:])
+        node.items = items[:half]
+        self._refresh(node)
+        return right
 
     def _bulk_build(self, pts: list) -> None:
         with self.account.operation():
-            cap = self.leaf_cap
-            level: list[_Node] = []
-            for i in range(0, len(pts), cap):
-                leaf = _Node(True)
-                leaf.points = pts[i : i + cap]
-                self._refresh_leaf(leaf)
-                level.append(leaf)
+            b = self.b
+            level = [self._node(True, pts[i : i + b]) for i in range(0, len(pts), b)]
             fan = self.fanout
             while len(level) > 1:
                 nxt: list[_Node] = []
                 for i in range(0, len(level), fan):
                     group = level[i : i + fan]
                     if len(group) == 1 and nxt:
-                        # a stray child joins the previous group
-                        prev = nxt.pop()
-                        group = prev.children + group
-                    if len(group) <= 2 * fan:
-                        halves = [group]
-                    else:
-                        halves = [group[: len(group) // 2], group[len(group) // 2 :]]
-                    for part in halves:
-                        node = _Node(False)
-                        node.children = part
-                        self._refresh_internal(node)
-                        nxt.append(node)
+                        # a stray child joins the previous group, which then
+                        # holds fanout + 1 <= 2 * fanout children
+                        group = nxt.pop().items + group
+                    nxt.append(self._node(False, group))
                 level = nxt
             self.root = level[0]
 
     def _insert_rec(self, node: _Node, point) -> "_Node | None":
         self._charge_node(node)
         if node.leaf:
-            for p in node.points:
-                if p[0] == point[0]:
-                    raise ValueError("duplicate x coordinate: %r" % (point[0],))
-            node.points.append(point)
-            node.points.sort()
-            if len(node.points) <= self.leaf_cap:
-                self._refresh_leaf(node)
-                return None
-            half = len(node.points) // 2
-            right = _Node(True)
-            right.points = node.points[half:]
-            node.points = node.points[:half]
-            self._refresh_leaf(node)
-            self._refresh_leaf(right)
-            return right
-        ch = self._child_for(node, point[0])
-        split = self._insert_rec(ch, point)
-        if split is not None:
-            node.children.insert(node.children.index(ch) + 1, split)
-        if len(node.children) > 2 * self.fanout:
-            half = len(node.children) // 2
-            right = _Node(False)
-            right.children = node.children[half:]
-            node.children = node.children[:half]
-            self._refresh_internal(right)
-            self._refresh_internal(node)
-            return right
-        self._refresh_internal(node)
-        return None
+            if any(p[0] == point[0] for p in node.items):
+                raise ValueError("duplicate x coordinate: %r" % (point[0],))
+            insort(node.items, point)
+        else:
+            ch = self._child_for(node, point[0])
+            split = self._insert_rec(ch, point)
+            if split is not None:
+                node.items.insert(node.items.index(ch) + 1, split)
+        return self._refresh_or_split(node)
 
     def _delete_rec(self, node: _Node, point) -> bool:
         self._charge_node(node)
         if node.leaf:
-            if point not in node.points:
+            if point not in node.items:
                 return False
-            node.points.remove(point)
-            self._refresh_leaf(node)
-            return True
-        ch = self._child_for(node, point[0])
-        if not self._delete_rec(ch, point):
-            return False
-        idx = node.children.index(ch)
-        low = max(1, self.fanout // 2) if not ch.leaf else max(1, self.leaf_cap // 4)
-        size = len(ch.points) if ch.leaf else len(ch.children)
-        if size < low and len(node.children) > 1:
-            self._rebalance_child(node, idx)
-        self._refresh_internal(node)
+            node.items.remove(point)
+        else:
+            ch = self._child_for(node, point[0])
+            if not self._delete_rec(ch, point):
+                return False
+            if len(ch.items) < max(1, self._capacity(ch) // 4) and len(node.items) > 1:
+                self._rebalance_child(node, node.items.index(ch))
+        self._refresh(node)
         return True
 
     def _rebalance_child(self, node: _Node, idx: int) -> None:
-        ch = node.children[idx]
-        sib_idx = idx - 1 if idx > 0 else idx + 1
-        sib = node.children[sib_idx]
-        lo, hi = (sib, ch) if sib_idx < idx else (ch, sib)
-        if ch.leaf:
-            merged = lo.points + hi.points
-            if len(merged) <= self.leaf_cap:
-                lo.points = merged
-                self._refresh_leaf(lo)
-                node.children.pop(node.children.index(hi))
-            else:
-                half = len(merged) // 2
-                lo.points = merged[:half]
-                hi.points = merged[half:]
-                self._refresh_leaf(lo)
-                self._refresh_leaf(hi)
-        else:
-            merged = lo.children + hi.children
-            if len(merged) <= 2 * self.fanout:
-                lo.children = merged
-                self._refresh_internal(lo)
-                node.children.pop(node.children.index(hi))
-            else:
-                half = len(merged) // 2
-                lo.children = merged[:half]
-                hi.children = merged[half:]
-                self._refresh_internal(lo)
-                self._refresh_internal(hi)
+        # merge the child with a neighbour; an over-full merge splits again
+        i = max(idx - 1, 0)
+        lo = node.items[i]
+        lo.items = lo.items + node.items.pop(i + 1).items
+        right = self._refresh_or_split(lo)
+        if right is not None:
+            node.items.insert(i + 1, right)

@@ -247,7 +247,7 @@ def test_6_query_charge_shape():
 def _walk(node, out):
     out.append(node)
     if not node.leaf:
-        for ch in node.children:
+        for ch in node.items:
             _walk(ch, out)
     return out
 

@@ -141,3 +141,35 @@ def test_skyline_run_reads():
 @pytest.mark.parametrize("B, epsilon, want", [(64, 1 / 3, 1656), (256, 1 / 3, 1176)])
 def test_skyline_run_reads_at_more_block_sizes(B, epsilon, want):
     assert skyline_run_reads(B, epsilon) == want
+
+
+def anticorrelated_run(B, epsilon):
+    """A 3,000-point build whose heights fall with x (noise up to 100), then
+    40 insert/delete/query3 rounds. Returns the reads, and whether every
+    answer and the final maxima() matched the oracle."""
+    rng = random.Random(5)
+    xs = rng.sample(range(30_000), 3040)
+    pts = [(x, 30_000 - x + rng.randrange(-100, 101)) for x in xs]
+    live = set(pts[:3000])
+    idx = SkylineIndex(pts[:3000], B=B, epsilon=epsilon)
+    right = True
+    for i in range(40):
+        idx.insert(pts[3000 + i])
+        live.add(pts[3000 + i])
+        idx.delete(pts[i])
+        live.discard(pts[i])
+        lo = rng.randrange(30_000)
+        ym = 30_000 - lo - rng.randrange(2500)
+        right &= idx.query3(lo, lo + 2000, ym) == oracle.naive_query3(sorted(live), lo, lo + 2000, ym)
+    right &= idx.maxima() == oracle.naive_maxima(sorted(live))
+    return idx.account.counters.reads, right
+
+
+# Staircases that fall with x leave node queues with dirty deques, so the
+# index reaches bias; the uniform runs above never do.
+def test_skyline_run_reads_anticorrelated(monkeypatch):
+    calls = []
+    bias = cpqa.bias
+    monkeypatch.setattr(cpqa, "bias", lambda q: calls.append(q) or bias(q))
+    assert anticorrelated_run(64, 1 / 3) == (2126, True)
+    assert calls

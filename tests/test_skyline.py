@@ -272,3 +272,73 @@ def test_concurrent_queries_answer_right_or_refuse():
     assert sum(res[0] for res in results) > 0
     assert sum(res[0] + res[1] for res in results) == 800
     assert idx.account.pinned_words == 0
+
+
+STRUCTURAL_OUTCOMES = {
+    "leaf split", "internal split", "root split", "root collapse",
+    "leaf merge", "leaf redistribute", "internal merge", "internal redistribute",
+}
+
+
+def _check_subtree(idx, node):
+    """Assert the node invariants below node; return its points in x order."""
+    if node.leaf:
+        pts = list(node.items)
+        assert len(pts) <= idx.b
+    else:
+        assert len(node.items) <= 2 * idx.fanout
+        pts = [p for ch in node.items for p in _check_subtree(idx, ch)]
+    assert all(p[0] < q[0] for p, q in zip(pts, pts[1:]))
+    assert node.count == len(pts)
+    assert (node.xmin, node.xmax) == ((pts[0][0], pts[-1][0]) if pts else (None, None))
+    assert [el.payload for el in cpqa.drain(node.queue, charged=False)] == naive_maxima(pts)
+    return pts
+
+
+# b = 8 and 2 * fanout = 8: a leaf underflows below 2 points, so a one-point
+# leaf beside a full one redistributes (at b = 4 an underflowing leaf is
+# empty and always merges)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_dense_run_then_sweep_reaches_every_split_and_rebalance(monkeypatch, seed):
+    seen = set()
+    insert_rec = SkylineIndex._insert_rec
+    rebalance_child = SkylineIndex._rebalance_child
+
+    def split_spy(self, node, point):
+        right = insert_rec(self, node, point)
+        if right is not None:
+            seen.add("leaf split" if node.leaf else "internal split")
+        return right
+
+    def rebalance_spy(self, node, i):
+        child, before = node.items[i], len(node.items)
+        rebalance_child(self, node, i)
+        outcome = "merge" if len(node.items) < before else "redistribute"
+        seen.add(("leaf " if child.leaf else "internal ") + outcome)
+
+    monkeypatch.setattr(SkylineIndex, "_insert_rec", split_spy)
+    monkeypatch.setattr(SkylineIndex, "_rebalance_child", rebalance_spy)
+    rng = random.Random(seed)
+    live = {x: (x, rng.randrange(1000)) for x in range(0, 200, 10)}
+    idx = SkylineIndex(live.values(), B=16, epsilon=1 / 4)
+    dense = [x for x in range(101, 400) if x % 10][:200]
+    rng.shuffle(dense)
+    ops = [("insert", x) for x in dense] + [("delete", x) for x in sorted(live) + sorted(dense)]
+    for kind, x in ops:
+        root = idx.root
+        if kind == "insert":
+            live[x] = (x, rng.randrange(1000))
+            idx.insert(live[x])
+            if idx.root is not root:
+                seen.add("root split")
+        else:
+            assert idx.delete(live.pop(x))
+            if not root.leaf and idx.root not in (None, root):
+                seen.add("root collapse")
+        if idx.root is not None:
+            _check_subtree(idx, idx.root)
+        lo, ym = rng.randrange(400), rng.randrange(1000)
+        hi = lo + rng.randrange(1, 400)
+        assert idx.query3(lo, hi, ym) == naive_query3(sorted(live.values()), lo, hi, ym)
+    assert idx.root is None
+    assert seen == STRUCTURAL_OUTCOMES
