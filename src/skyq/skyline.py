@@ -10,10 +10,17 @@ sweep into one record (cpqa.from_run). An internal node's staircase is the
 attriting catenation of its children's staircases, which the queues fold in
 O(1) block transfers per node.
 
-Updates keep every node within its capacity: a node over it splits in half,
-and the two halves are refreshed right first. A node left with fewer than
-max(1, capacity // 4) items merges with a neighbour, and if the merged list
-is over capacity, splits in half again.
+An update fetches every node on its leaf-to-root path and keeps each one's
+count and extent, but refolds staircases only up to the first ancestor where
+the changed child is hidden: its old and new staircases both have a minimum
+key no smaller than the least minimum among its right siblings (an empty
+staircase counts as hidden). The fold attrites such a child wholly, so that
+ancestor keeps its queue version, and every node above it sees an unchanged
+child and keeps its own. Updates keep every node within its capacity: a node
+over it splits in half, and the two halves are refreshed right first. A node
+left with fewer than max(1, capacity // 4) items merges with a neighbour,
+and if the merged list is over capacity, splits in half again. A split or a
+merge always refolds the parent.
 
 A 3-sided query (x in [lo, hi], y >= ymin) decomposes the x-band into O(log n)
 canonical subtrees, catenates their staircases in x order, and drains the
@@ -102,7 +109,7 @@ class SkylineIndex:
             return False
         x = point[0]
         while not node.leaf:
-            node = self._child_for(node, x)
+            _, node = self._child_for(node, x)
         return point in node.items
 
     def counters(self) -> IoCounters:
@@ -187,11 +194,14 @@ class SkylineIndex:
 
     # -- node maintenance ----------------------------------------------------------
 
-    def _child_for(self, node: _Node, x):
-        for ch in node.items[:-1]:
-            if x <= ch.xmax:
-                return ch
-        return node.items[-1]
+    def _child_for(self, node: _Node, x) -> "tuple[int, _Node]":
+        """The index and the child whose x range routes x."""
+        items = node.items
+        last = len(items) - 1
+        for i in range(last):
+            if x <= items[i].xmax:
+                return i, items[i]
+        return last, items[last]
 
     def _charge_node(self, node: _Node) -> None:
         # routing data plus the staircase records an operation may touch
@@ -238,7 +248,13 @@ class SkylineIndex:
         return node
 
     def _refresh(self, node: _Node) -> None:
-        """Rebuild the node's staircase, count and extent from its items."""
+        """Rebuild the node's staircase, count and extent from its items.
+
+        Updates call it on the leaf, on every node whose child list changed,
+        and on the path up to the first ancestor whose changed child is
+        hidden (see _keeps_staircase); above that, nodes keep their queue
+        versions and only their counts and extents move.
+        """
         items = node.items
         if node.leaf:
             node.queue = self._fold_points(items)
@@ -291,10 +307,13 @@ class SkylineIndex:
                 raise ValueError("duplicate x coordinate: %r" % (point[0],))
             insort(node.items, point)
         else:
-            ch = self._child_for(node, point[0])
+            i, ch = self._child_for(node, point[0])
+            old = ch.queue
             split = self._insert_rec(ch, point)
             if split is not None:
-                node.items.insert(node.items.index(ch) + 1, split)
+                node.items.insert(i + 1, split)
+            elif self._keeps_staircase(node, i, old, 1):
+                return None
         return self._refresh_or_split(node)
 
     def _delete_rec(self, node: _Node, point) -> bool:
@@ -304,12 +323,39 @@ class SkylineIndex:
                 return False
             node.items.remove(point)
         else:
-            ch = self._child_for(node, point[0])
+            i, ch = self._child_for(node, point[0])
+            old = ch.queue
             if not self._delete_rec(ch, point):
                 return False
             if len(ch.items) < max(1, self._capacity(ch) // 4) and len(node.items) > 1:
-                self._rebalance_child(node, node.items.index(ch))
+                self._rebalance_child(node, i)
+            elif self._keeps_staircase(node, i, old, -1):
+                return True
         self._refresh(node)
+        return True
+
+    def _keeps_staircase(self, node: _Node, i: int, old, added: int) -> bool:
+        """After an update below child i that left node's child list as it
+        was: if the child, whose staircase was old, is hidden, keep node's
+        staircase, move its count by added, reset its extent and say so.
+
+        concat_sequence folds right to left, and _catenate(q, acc) returns acc
+        untouched when acc's minimum key is <= q's. So the fold, and _prep
+        after it, never see a child whose staircase version is unchanged, nor
+        one whose old and new staircases are each empty or have a minimum
+        key >= the least minimum key among its right siblings.
+        """
+        new = node.items[i].queue
+        if new is not old:
+            least = min(
+                (ch.queue.cached_min.key for ch in node.items[i + 1 :] if ch.queue.cached_min is not None),
+                default=None,
+            )
+            for q in (old, new):
+                if q.cached_min is not None and (least is None or q.cached_min.key < least):
+                    return False
+        node.count += added
+        node.xmin, node.xmax = node.items[0].xmin, node.items[-1].xmax
         return True
 
     def _rebalance_child(self, node: _Node, idx: int) -> None:

@@ -342,3 +342,93 @@ def test_dense_run_then_sweep_reaches_every_split_and_rebalance(monkeypatch, see
         assert idx.query3(lo, hi, ym) == naive_query3(sorted(live.values()), lo, hi, ym)
     assert idx.root is None
     assert seen == STRUCTURAL_OUTCOMES
+
+
+def _internal_queues(node):
+    if node.leaf:
+        return []
+    return [(node, node.queue)] + [nq for ch in node.items for nq in _internal_queues(ch)]
+
+
+def _staircase_points():
+    # the first leaf's points rise low along y = x; every later point is on
+    # the falling staircase y = 1000 - x, so each later leaf adds to its
+    # parent's staircase and the first leaf adds nothing
+    return [(x, x if x < 80 else 1000 - x) for x in range(0, 640, 10)]
+
+
+def _staircase_index():
+    # b = 8, fanout 4: eight full leaves under two internal nodes and a root
+    idx = SkylineIndex(_staircase_points(), B=16, epsilon=1 / 4)
+    assert [len(ch.items) for ch in idx.root.items] == [4, 4]
+    return idx
+
+
+def test_update_hidden_by_right_siblings_keeps_every_internal_staircase():
+    idx = _staircase_index()
+    live = _staircase_points()
+    # deleting the top of the first leaf changes that leaf's staircase, and
+    # inserting (58, 200) changes it again; the second leaf starts at
+    # (80, 920), higher up, so no internal staircase may be rebuilt
+    for op, p in (("delete", (70, 70)), ("insert", (58, 200))):
+        before = _internal_queues(idx.root)
+        leaf = idx.root.items[0].items[0]
+        old_leaf = leaf.queue
+        if op == "delete":
+            assert idx.delete(p)
+            live.remove(p)
+        else:
+            idx.insert(p)
+            live.append(p)
+        assert leaf.queue is not old_leaf
+        assert [node for node, _ in _internal_queues(idx.root)] == [node for node, _ in before]
+        assert all(node.queue is q for node, q in before)
+        _check_subtree(idx, idx.root)
+        assert idx.maxima() == naive_maxima(sorted(live))
+    assert len(idx) == 64
+
+
+def test_new_global_maximum_rebuilds_the_root_staircase():
+    idx = _staircase_index()
+    assert idx.delete((0, 0))
+    root_queue = idx.root.queue
+    idx.insert((5, 10_000))
+    assert idx.root.queue is not root_queue
+    _check_subtree(idx, idx.root)
+    assert idx.maxima() == [(5, 10_000)] + [p for p in _staircase_points() if p[0] >= 80]
+
+
+def test_uniform_churn_keeps_every_staircase_exact(monkeypatch):
+    # every update either leaves the root's staircase as it was (the
+    # rebuild may stop below it) or changes it (the rebuild reaches it);
+    # after each, every node must still drain to its subtree's maxima
+    outcomes = set()
+    insert, delete = SkylineIndex.insert, SkylineIndex.delete
+
+    def spy(update):
+        def run(self, point):
+            before = self.maxima()
+            result = update(self, point)
+            outcomes.add("root" if self.maxima() != before else "stopped")
+            return result
+
+        return run
+
+    rng = random.Random(11)
+    xs = rng.sample(range(100_000), 2400)
+    live = {x: (x, rng.randrange(100_000)) for x in xs[:2000]}
+    spare = xs[2000:]
+    idx = SkylineIndex(live.values(), B=64, epsilon=1 / 3)
+    monkeypatch.setattr(SkylineIndex, "insert", spy(insert))
+    monkeypatch.setattr(SkylineIndex, "delete", spy(delete))
+    for _ in range(400):
+        if rng.random() < 0.5:
+            x = spare.pop()
+            live[x] = (x, rng.randrange(100_000))
+            idx.insert(live[x])
+        else:
+            x = rng.choice(sorted(live))
+            assert idx.delete(live.pop(x))
+        _check_subtree(idx, idx.root)
+    assert outcomes == {"root", "stopped"}
+    assert idx.maxima() == naive_maxima(sorted(live.values()))
