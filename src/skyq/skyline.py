@@ -6,21 +6,26 @@ items, in x order: a leaf holds up to b points, an internal node up to
 holding the maxima staircase of its subtree: points are taken left to right
 with key (-y, -x) (skyline_key), so appending a point attrites exactly the
 earlier points it dominates. A leaf's staircase is built by one right-to-left
-sweep into one record (cpqa.from_run). An internal node's staircase is the
-attriting catenation of its children's staircases, which the queues fold in
-O(1) block transfers per node.
+sweep over its points, which keeps a point only if it is higher than every
+point after it, into one record (cpqa.from_run). An internal node's
+staircase is the attriting catenation of its children's staircases, which
+the queues fold in O(1) block transfers per node.
 
 An update fetches every node on its leaf-to-root path and keeps each one's
-count and extent, but refolds staircases only up to the first ancestor where
-the changed child is hidden: its old and new staircases both have a minimum
-key no smaller than the least minimum among its right siblings (an empty
-staircase counts as hidden). The fold attrites such a child wholly, so that
-ancestor keeps its queue version, and every node above it sees an unchanged
-child and keeps its own. Updates keep every node within its capacity: a node
-over it splits in half, and the two halves are refreshed right first. A node
-left with fewer than max(1, capacity // 4) items merges with a neighbour,
-and if the merged list is over capacity, splits in half again. A split or a
-merge always refolds the parent.
+count and extent, but rebuilds staircases only where they can change. A
+point gained or lost that a point at least as high to its right in the same
+leaf hides is on no staircase: the leaf keeps its queue version (unless it
+splits or merges), and so does every node above it. Otherwise the update refolds
+staircases only up to the first ancestor where the changed child is hidden:
+its old and new staircases both have a minimum key no smaller than the least
+minimum among its right siblings (an empty staircase counts as hidden). The
+fold attrites such a child wholly, so that ancestor keeps its queue version,
+and every node above it sees an unchanged child and keeps its own. Updates
+keep every node within its capacity: a node over it splits in half, and the
+two halves are refreshed right first. A node left with fewer than
+max(1, capacity // 4) items merges with a neighbour, and if the merged list
+is over capacity, splits in half again. A split or a merge always refolds
+the parent.
 
 A 3-sided query (x in [lo, hi], y >= ymin) decomposes the x-band into O(log n)
 canonical subtrees, catenates their staircases in x order, and drains the
@@ -31,8 +36,11 @@ Coordinates must be pairwise distinct in x across the live set.
 
 Block accounting: fetching a node costs one block for its routing data plus
 ceil(words / B) for the staircase records an operation may touch (its queue's
-critical records). Those records are pinned while the node takes part in a
-query or rebuild, so the queue machinery itself runs without hidden reads.
+critical records). The critical records of a version are fixed when it is
+handed out, so each node keeps their word count (words) beside its queue
+version, set whenever the version is. Those records are pinned while the
+node takes part in a query or rebuild, so the queue machinery itself runs
+without hidden reads.
 """
 
 from __future__ import annotations
@@ -66,12 +74,13 @@ class _Node:
     """A leaf's points or an internal node's children, in x order, and the
     staircase and extent they make up."""
 
-    __slots__ = ("leaf", "items", "queue", "xmin", "xmax", "count")
+    __slots__ = ("leaf", "items", "queue", "words", "xmin", "xmax", "count")
 
     def __init__(self, leaf: bool, items: list):
         self.leaf = leaf
         self.items = items
         self.queue = None
+        self.words = 0
         self.xmin = None
         self.xmax = None
         self.count = 0
@@ -205,12 +214,7 @@ class SkylineIndex:
 
     def _charge_node(self, node: _Node) -> None:
         # routing data plus the staircase records an operation may touch
-        self.account.charge_read_words(self.B)
-        q = node.queue
-        if q.cached_min is not None:
-            words = sum(r.size for r in cpqa.critical_records(q))
-            if words:
-                self.account.charge_read_words(words)
+        self.account.charge_read_words(self.B + node.words)
 
     @contextmanager
     def _pinning(self, queues):
@@ -232,7 +236,14 @@ class SkylineIndex:
                 account.unpin(rid)
 
     def _fold_points(self, pts):
-        return cpqa.from_run(self.account, [cpqa.Element(skyline_key(p), p) for p in pts])
+        # the staircase of points in x order: right to left, a point survives
+        # only if it is higher than every point after it
+        keep = []
+        for p in reversed(pts):
+            if not keep or p[1] > keep[-1].payload[1]:
+                keep.append(cpqa.Element(skyline_key(p), p))
+        keep.reverse()
+        return cpqa.from_run(self.account, keep)
 
     def _prep(self, q):
         while (q.Bq or q.D) and cpqa.delta(q) < 2:
@@ -250,25 +261,30 @@ class SkylineIndex:
     def _refresh(self, node: _Node) -> None:
         """Rebuild the node's staircase, count and extent from its items.
 
-        Updates call it on the leaf, on every node whose child list changed,
-        and on the path up to the first ancestor whose changed child is
-        hidden (see _keeps_staircase); above that, nodes keep their queue
-        versions and only their counts and extents move.
+        Updates call it on a leaf whose staircase may change (not when the
+        point gained or lost is hidden in the leaf, see
+        _leaf_keeps_staircase), on every node whose child list changed, and
+        on the path up to the first ancestor whose changed child is hidden
+        (see _keeps_staircase); above that, nodes keep their queue versions
+        and only their counts and extents move. It sets words with the
+        queue: the critical records' word count that _charge_node charges.
         """
         items = node.items
         if node.leaf:
-            node.queue = self._fold_points(items)
+            q = self._fold_points(items)
             node.count = len(items)
             node.xmin, node.xmax = (items[0][0], items[-1][0]) if items else (None, None)
-            return
-        queues = [ch.queue for ch in items if ch.queue.cached_min is not None]
-        if queues:
-            with self._pinning(queues):
-                node.queue = self._prep(cpqa.concat_sequence(queues))
         else:
-            node.queue = cpqa.empty(self.account)
-        node.count = sum(ch.count for ch in items)
-        node.xmin, node.xmax = items[0].xmin, items[-1].xmax
+            queues = [ch.queue for ch in items if ch.queue.cached_min is not None]
+            if queues:
+                with self._pinning(queues):
+                    q = self._prep(cpqa.concat_sequence(queues))
+            else:
+                q = cpqa.empty(self.account)
+            node.count = sum(ch.count for ch in items)
+            node.xmin, node.xmax = items[0].xmin, items[-1].xmax
+        node.queue = q
+        node.words = sum(r.size for r in cpqa.critical_records(q))
 
     def _refresh_or_split(self, node: _Node) -> "_Node | None":
         """Refresh the node, or split it in half when it is over capacity and
@@ -306,6 +322,8 @@ class SkylineIndex:
             if any(p[0] == point[0] for p in node.items):
                 raise ValueError("duplicate x coordinate: %r" % (point[0],))
             insort(node.items, point)
+            if len(node.items) <= self.b and self._leaf_keeps_staircase(node, point, 1):
+                return None
         else:
             i, ch = self._child_for(node, point[0])
             old = ch.queue
@@ -322,6 +340,8 @@ class SkylineIndex:
             if point not in node.items:
                 return False
             node.items.remove(point)
+            if self._leaf_keeps_staircase(node, point, -1):
+                return True
         else:
             i, ch = self._child_for(node, point[0])
             old = ch.queue
@@ -332,6 +352,24 @@ class SkylineIndex:
             elif self._keeps_staircase(node, i, old, -1):
                 return True
         self._refresh(node)
+        return True
+
+    def _leaf_keeps_staircase(self, node: _Node, point, added: int) -> bool:
+        """After point joined (added 1) or left (added -1) the leaf's items:
+        if a point at least as high lies to its right, keep the leaf's
+        staircase, move its count by added, reset its extent and say so.
+
+        _fold_points keeps a point only if it is higher than every point
+        after it, so it drops such a point; and a point dominated by a later
+        point q dominates nothing that q does not, so the other points keep
+        their fate too.
+        """
+        x, y = point
+        items = node.items
+        if not any(q[1] >= y and q[0] > x for q in items):
+            return False
+        node.count += added
+        node.xmin, node.xmax = items[0][0], items[-1][0]
         return True
 
     def _keeps_staircase(self, node: _Node, i: int, old, added: int) -> bool:

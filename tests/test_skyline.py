@@ -292,6 +292,7 @@ def _check_subtree(idx, node):
     assert node.count == len(pts)
     assert (node.xmin, node.xmax) == ((pts[0][0], pts[-1][0]) if pts else (None, None))
     assert [el.payload for el in cpqa.drain(node.queue, charged=False)] == naive_maxima(pts)
+    assert node.words == sum(r.size for r in cpqa.critical_records(node.queue))
     return pts
 
 
@@ -344,10 +345,15 @@ def test_dense_run_then_sweep_reaches_every_split_and_rebalance(monkeypatch, see
     assert seen == STRUCTURAL_OUTCOMES
 
 
+def _node_queues(node):
+    out = [(node, node.queue)]
+    if not node.leaf:
+        out += [nq for ch in node.items for nq in _node_queues(ch)]
+    return out
+
+
 def _internal_queues(node):
-    if node.leaf:
-        return []
-    return [(node, node.queue)] + [nq for ch in node.items for nq in _internal_queues(ch)]
+    return [(n, q) for n, q in _node_queues(node) if not n.leaf]
 
 
 def _staircase_points():
@@ -431,4 +437,79 @@ def test_uniform_churn_keeps_every_staircase_exact(monkeypatch):
             assert idx.delete(live.pop(x))
         _check_subtree(idx, idx.root)
     assert outcomes == {"root", "stopped"}
+    assert idx.maxima() == naive_maxima(sorted(live.values()))
+
+
+def test_update_hidden_in_its_leaf_keeps_every_staircase():
+    idx = _staircase_index()
+    live = _staircase_points()
+    leaf = idx.root.items[0].items[0]
+    assert leaf.items[-1] == (70, 70)
+    # (70, 70) tops the first leaf and hides every point left of it: the
+    # leftmost point moves the extent, (5, 70) is only as high as (70, 70)
+    for op, p in (("delete", (0, 0)), ("insert", (5, 70)), ("delete", (5, 70)), ("insert", (45, 3)), ("delete", (45, 3))):
+        before = _node_queues(idx.root)
+        if op == "delete":
+            assert idx.delete(p)
+            live.remove(p)
+        else:
+            idx.insert(p)
+            live.append(p)
+        assert [node for node, _ in _node_queues(idx.root)] == [node for node, _ in before]
+        assert all(node.queue is q for node, q in before)
+        _check_subtree(idx, idx.root)
+        assert len(idx) == len(live)
+    # a point higher than every point to its right joins the staircase
+    old = leaf.queue
+    idx.insert((65, 71))
+    live.append((65, 71))
+    assert leaf.queue is not old
+    assert [el.payload for el in cpqa.drain(leaf.queue, charged=False)] == [(65, 71), (70, 70)]
+    _check_subtree(idx, idx.root)
+    assert idx.maxima() == naive_maxima(sorted(live))
+
+
+def test_hidden_point_into_a_full_leaf_still_splits_it():
+    idx = _staircase_index()
+    parent = idx.root.items[0]
+    assert len(parent.items[0].items) == idx.b
+    idx.insert((1, 2))
+    assert len(parent.items) == 5
+    left, right = parent.items[0], parent.items[1]
+    assert left.items == [(0, 0), (1, 2), (10, 10), (20, 20)]
+    assert [el.payload for el in cpqa.drain(left.queue, charged=False)] == [(20, 20)]
+    assert [el.payload for el in cpqa.drain(right.queue, charged=False)] == [(70, 70)]
+    _check_subtree(idx, idx.root)
+    assert idx.maxima() == naive_maxima(sorted(_staircase_points() + [(1, 2)]))
+
+
+def test_uniform_update_charges_one_fetch_per_path_node():
+    # every insert and delete reads exactly its path's node fetches, each
+    # 1 + ceil(words / B) blocks for its routing data and its staircase's
+    # critical records as they were before the update
+    rng = random.Random(12)
+    xs = rng.sample(range(100_000), 3300)
+    live = {x: (x, rng.randrange(100_000)) for x in xs[:3000]}
+    spare = xs[3000:]
+    idx = SkylineIndex(live.values(), B=64, epsilon=1 / 3)
+    for _ in range(600):
+        if rng.random() < 0.5:
+            x = spare.pop()
+            p = live[x] = (x, rng.randrange(100_000))
+        else:
+            x = rng.choice(sorted(live))
+            p = live.pop(x)
+        want, node = 0, idx.root
+        while True:
+            words = sum(r.size for r in cpqa.critical_records(node.queue))
+            want += 1 + -(-words // idx.B)
+            if node.leaf:
+                break
+            node = idx._child_for(node, x)[1]
+        reads = idx.counters().reads
+        if x in live:
+            idx.insert(p)
+        else:
+            assert idx.delete(p)
+        assert idx.counters().reads - reads == want
     assert idx.maxima() == naive_maxima(sorted(live.values()))
