@@ -29,8 +29,13 @@ the parent.
 
 A 3-sided query (x in [lo, hi], y >= ymin) decomposes the x-band into O(log n)
 canonical subtrees, catenates their staircases in x order, and drains the
-result while y stays above the floor. Reported points arrive in increasing x
-and cost roughly one block per b points on top of the decomposition.
+result below the key (-ymin, x above all), which keeps exactly the points
+with y >= ymin. Reported points arrive in increasing x and cost roughly one block
+per b points on top of the decomposition. The drain runs inside the query's
+operation, so once the answer is one record (always, on uniform points) it
+reads that record once instead of popping it point by point; the read
+charges what the pops would, as every record they make stays in the
+operation's memory.
 
 Coordinates must be pairwise distinct in x across the live set.
 
@@ -39,8 +44,11 @@ ceil(words / B) for the staircase records an operation may touch (its queue's
 critical records). The critical records of a version are fixed when it is
 handed out, so each node keeps their word count (words) beside its queue
 version, set whenever the version is. Those records are pinned while the
-node takes part in a query or rebuild, so the queue machinery itself runs
-without hidden reads.
+node takes part in a query or rebuild, so the queue machinery itself reads
+nothing cold, with one measured exception: bias, in a refold's _prep or
+inside concat_sequence, can load Bq records that no child lists among its
+critical records. That happens on anti-correlated points only, never on
+uniform ones.
 """
 
 from __future__ import annotations
@@ -62,6 +70,19 @@ def skyline_key(point) -> tuple:
     maxima rule.
     """
     return (-point[1], -point[0])
+
+
+class _AboveAll:
+    """Compares above every x key: (-y_min, _ABOVE_ALL) bounds exactly the
+    keys (-y, -x) with y >= y_min, x = -inf included."""
+
+    __slots__ = ()
+
+    def __gt__(self, other) -> bool:
+        return True
+
+
+_ABOVE_ALL = _AboveAll()
 
 
 def _derive_params(B: int, epsilon: float) -> tuple[int, int]:
@@ -147,14 +168,7 @@ class SkylineIndex:
                 return []
             with self._pinning(whole):
                 aux = cpqa.concat_sequence(queues)
-                out = []
-                while aux.cached_min is not None:
-                    el = cpqa.find_min(aux)
-                    if el.payload[1] < y_min:
-                        break
-                    out.append(el.payload)
-                    _, aux = cpqa.delete_min(aux)
-        return out
+                return [el.payload for el in cpqa.drain(aux, below=(-y_min, _ABOVE_ALL))]
 
     def _decompose(self, node: _Node, lo, hi, whole: list, queues: list) -> None:
         # canonical cover of the x-band, queues kept in x order: whole nodes'

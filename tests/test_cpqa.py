@@ -254,6 +254,117 @@ def test_drain_is_repeatable():
     assert first == cpqa.logical_elements(q)
 
 
+def drain_script(rng, b, n):
+    """Ascending inserts that make one clean record of n words, then random
+    inserts, catenates and delete_min over drifting keys."""
+    script = [("ins", k) for k in range(0, 10 * n, 10)]
+    top = 10 * n
+    for _ in range(rng.choice((0, 3, 10, 30))):
+        r = rng.random()
+        top += rng.randrange(-60, 40)
+        if r < 0.5:
+            script.append(("ins", top))
+        elif r < 0.75:
+            script.append(("cat", list(range(top, top + 10 * rng.randrange(1, 3 * b + 1), 10))))
+        else:
+            script.append(("del", None))
+    return script
+
+
+def apply_step(acct, q, step):
+    op, arg = step
+    if op == "ins":
+        return cpqa.insert_and_attrite(q, Element(arg))
+    if op == "cat":
+        return cpqa.catenate_and_attrite(q, build(acct, arg))
+    return cpqa.delete_min(q)[1] if q.cached_min is not None else q
+
+
+def popped(q, below=None):
+    out = []
+    while q.cached_min is not None and (below is None or q.cached_min.key < below):
+        el, q = cpqa.delete_min(q)
+        out.append(el)
+    return out
+
+
+def drained_and_charged(b, script, below, mode, drain):
+    """Build the script's version on a fresh account and drain it: at top
+    level, inside an operation, or inside the operation that made its last
+    step. Returns the answer, the drain's reads and writes, and its largest
+    operation."""
+    acct = mk_account(b=b, B=b)
+    q = cpqa.empty(acct)
+    for step in script[:-1]:
+        q = apply_step(acct, q, step)
+    if mode == "fresh":
+        acct.reset()
+        with acct.operation():
+            q = apply_step(acct, q, script[-1])
+            got = drain(q, below)
+    else:
+        q = apply_step(acct, q, script[-1])
+        acct.reset()
+        if mode == "open":
+            with acct.operation():
+                got = drain(q, below)
+        else:
+            got = drain(q, below)
+    return got, acct.counters.reads, acct.counters.writes, acct.max_op_blocks
+
+
+@pytest.mark.parametrize("b", range(1, 9))
+def test_drain_charges_what_the_delete_min_chain_charges(monkeypatch, b):
+    rng = random.Random(b)
+    calls = [0]
+    pops = []
+    delete_min = cpqa.delete_min
+
+    def counted(q):
+        calls[0] += 1
+        return delete_min(q)
+
+    def drain(q, below):
+        before = calls[0]
+        out = cpqa.drain(q, below=below)
+        pops.append(calls[0] - before)
+        return out
+
+    monkeypatch.setattr(cpqa, "delete_min", counted)
+
+    one_read = 0
+    singles = set()
+    scripts = [[("ins", 10 * k) for k in range(n)] for n in range(1, 5 * b + 1)]
+    scripts += [drain_script(rng, b, rng.randrange(1, 5 * b + 1)) for _ in range(30)]
+    for script in scripts:
+        acct = mk_account(b=b, B=b)
+        q = cpqa.empty(acct)
+        for step in script:
+            q = apply_step(acct, q, step)
+        if cpqa.record_count(q) == 1:
+            singles.add(cpqa.size_elements(q))
+        keys = [e.key for e in cpqa.logical_elements(q)]
+        belows = [None]
+        if keys:
+            belows += [rng.choice(keys), keys[0] - 1]
+        for below in belows:
+            want_keys = [k for k in keys if below is None or k < below]
+            for mode in ("top", "open", "fresh"):
+                got = drained_and_charged(b, script, below, mode, drain)
+                want = drained_and_charged(b, script, below, mode, popped)
+                assert got == want, (script, below, mode)
+                assert [e.key for e in got[0]] == want_keys
+                if mode == "top":
+                    assert pops[-1] == len(want_keys)
+                elif len(want_keys) > 1 and pops[-1] == 0:
+                    one_read += 1
+    # single records of every size up to 5b words (at b = 1 inserts make
+    # one only of one word), and the one-record read reported several
+    # elements at a time
+    assert singles >= set(range(1, 5 * b + 1 if b > 1 else 2))
+    assert one_read > 0
+
+
 def test_logical_elements_sees_through_zombies():
     acct = mk_account()
     a = build(acct, range(0, 30))

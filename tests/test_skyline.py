@@ -56,6 +56,15 @@ def test_hand_case_queries():
     assert idx.query3(6, 9, 0) == []
 
 
+def test_floor_at_a_height_keeps_its_point_at_any_x():
+    inf = float("inf")
+    idx = SkylineIndex([(-inf, 5), (1, 3), (2, 4), (inf, 1)])
+    assert idx.query3(-inf, 10, 5) == [(-inf, 5)]
+    assert idx.query3(-inf, 10, 4) == [(-inf, 5), (2, 4)]
+    assert idx.query3(0, inf, 1) == [(2, 4), (inf, 1)]
+    assert idx.query3(0, inf, 4.5) == []
+
+
 def test_query_output_is_x_ordered():
     rng = random.Random(3)
     pts = [(x, rng.randrange(1000)) for x in rng.sample(range(5000), 400)]
@@ -513,3 +522,49 @@ def test_uniform_update_charges_one_fetch_per_path_node():
             assert idx.delete(p)
         assert idx.counters().reads - reads == want
     assert idx.maxima() == naive_maxima(sorted(live.values()))
+
+
+def test_uniform_query_reads_its_one_record_answer_without_popping(monkeypatch):
+    # a uniform staircase is short, so the catenated answer is one record:
+    # query3 reports it with one read, never a delete_min per point
+    rng = random.Random(21)
+    pts = sorted((x, rng.randrange(100_000)) for x in rng.sample(range(100_000), 3000))
+    idx = SkylineIndex(pts, B=64, epsilon=1 / 3)
+    pops = []
+    delete_min = cpqa.delete_min
+    monkeypatch.setattr(cpqa, "delete_min", lambda q: pops.append(q) or delete_min(q))
+    reported = 0
+    for _ in range(200):
+        lo = rng.randrange(100_000)
+        hi = lo + rng.randrange(1, 30_000)
+        ym = rng.randrange(100_000)
+        got = idx.query3(lo, hi, ym)
+        assert got == naive_query3(pts, lo, hi, ym)
+        reported += len(got)
+    assert idx.maxima() == naive_maxima(pts)
+    assert reported > 200
+    assert pops == []
+
+
+def test_anticorrelated_query_cuts_a_multi_record_answer(monkeypatch):
+    # falling heights with noise make long staircases, so answers span
+    # several records and take the delete_min chain before the one-record
+    # read; y_min falls between two staircase heights or on one of them
+    rng = random.Random(3)
+    n = 3000
+    pts = [(3 * i, 8 * (n - i) + rng.randrange(-320, 321)) for i in range(n)]
+    idx = SkylineIndex(pts, B=64, epsilon=1 / 3)
+    assert idx.maxima() == naive_maxima(pts)
+    pops = []
+    delete_min = cpqa.delete_min
+    monkeypatch.setattr(cpqa, "delete_min", lambda q: pops.append(q) or delete_min(q))
+    for _ in range(100):
+        lo = rng.randrange(9000)
+        hi = lo + rng.randrange(1, 4000)
+        stairs = naive_query3(pts, lo, hi, float("-inf"))
+        if len(stairs) < 2:
+            continue
+        k = rng.randrange(1, len(stairs))
+        assert idx.query3(lo, hi, stairs[k][1]) == stairs[: k + 1]
+        assert idx.query3(lo, hi, stairs[k][1] + 0.5) == stairs[:k]
+    assert pops
