@@ -160,11 +160,6 @@ class _Buf:
     def __len__(self) -> int:
         return self.stop - self.start
 
-    def reversed(self) -> Iterator[Element]:
-        backing = self.backing
-        for i in range(self.stop - 1, self.start - 1, -1):
-            yield backing[i]
-
     @property
     def first(self) -> Element:
         return self.backing[self.start]
@@ -776,31 +771,19 @@ def delete_min(Q: Queue) -> tuple[Element, Queue]:
         return el, _keep(account, res)
 
 
-def drain(Q: Queue, *, charged: bool = True, below=None) -> list[Element]:
+def drain(Q: Queue, *, below=None) -> list[Element]:
     """The live elements with key < below (all of them when below is None),
     in increasing key order; Q itself stays valid.
 
-    It pops with delete_min while the version has more than one record. Once
-    the version is one record in C and an operation is already open, it
-    reads that record once and reports the part below the bound: every
-    record the pops would create stays in the open operation's memory, so
-    the one read charges exactly what the pops would. Outside an operation
-    each pop is an operation of its own, whose write-back would flush the
-    record's run if no popped version kept it, so a top-level drain keeps
-    popping. charged=False drains with charging suspended.
+    Inside an open operation it walks Q's records right to left and reads
+    only the records that hold a reported element, each once (_live). At top
+    level it pops with delete_min: each pop is an operation of its own, with
+    its own write-back.
     """
-    account = Q.account
-    if not charged:
-        with account.suspended():
-            return drain(Q, below=below)
+    if Q.account.current_op() is not None:
+        return _live(Q, below, _load)
     out: list[Element] = []
     while Q.cached_min is not None and (below is None or Q.cached_min.key < below):
-        if len(Q.C) == 1 and not Q.Bq and not Q.D and account.current_op() is not None:
-            rec = Q.C.first()
-            with _op(account, Q):
-                _load(account, rec)
-            out += (rec.buf if below is None else rec.buf.cut_lt(below)).tolist()
-            break
         el, Q = delete_min(Q)
         out.append(el)
     return out
@@ -1049,34 +1032,44 @@ def total_records(Q: Queue) -> int:
     return len({rec.rid for q in _versions(Q) for dq in (q.C, q.Bq, *q.D) for rec in dq})
 
 
-def logical_elements(Q: Queue) -> list[Element]:
-    """Live elements in increasing key order, by one reverse sweep."""
-    out: list[Element] = []
-    best = None
-    stack: list[tuple[str, Any]] = [("q", Q)]
+def _live(Q: Queue, below, load) -> list[Element]:
+    """The live elements with key < below, in increasing key order, by one
+    right-to-left walk that keeps the running minimum (below to start with).
+
+    A version whose cached minimum, or a record whose first key, is not
+    below the running minimum holds nothing live and is skipped unopened.
+    Every record opened therefore reports its buffer's part below the
+    running minimum, which one bisect cuts, and is passed to load first.
+    """
+    account = Q.account
+    best = below
+    parts: list[_Buf] = []
+    # versions and records, rightmost on top: a record's child sits above
+    # it, since the child's elements follow the record's buffer
+    stack: list[Queue | Record] = [Q]
     while stack:
-        kind, val = stack.pop()
-        if kind == "q":
-            if val.cached_min is None:
-                continue
-            if best is not None and val.cached_min.key >= best:
-                continue
-            for dq in (val.C, val.Bq, *val.D):
-                for rec in dq:
-                    stack.append(("r", rec))
-        elif kind == "r":
-            if best is not None and val.min_key >= best:
-                continue
-            stack.append(("b", val.buf))
-            if val.child is not None:
-                stack.append(("q", val.child))
-        else:
-            for el in val.reversed():
-                if best is None or el.key < best:
-                    out.append(el)
-                    best = el.key
-    out.reverse()
+        x = stack.pop()
+        if type(x) is Queue:
+            if x.cached_min is not None and (best is None or x.cached_min.key < best):
+                for dq in (x.C, x.Bq, *x.D):
+                    for rec in dq:
+                        stack.append(rec)
+                        if rec.child is not None:
+                            stack.append(rec.child)
+        elif best is None or x.min_key < best:
+            if load is not None:
+                load(account, x)
+            parts.append(x.buf if best is None else x.buf.cut_lt(best))
+            best = x.min_key
+    out: list[Element] = []
+    for part in reversed(parts):
+        out += part.tolist()
     return out
+
+
+def logical_elements(Q: Queue) -> list[Element]:
+    """Live elements in increasing key order; reads nothing (see _live)."""
+    return _live(Q, None, None)
 
 
 def size_elements(Q: Queue) -> int:

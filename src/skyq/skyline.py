@@ -32,10 +32,8 @@ canonical subtrees, catenates their staircases in x order, and drains the
 result below the key (-ymin, x above all), which keeps exactly the points
 with y >= ymin. Reported points arrive in increasing x and cost roughly one block
 per b points on top of the decomposition. The drain runs inside the query's
-operation, so once the answer is one record (always, on uniform points) it
-reads that record once instead of popping it point by point; the read
-charges what the pops would, as every record they make stays in the
-operation's memory.
+operation, so it pops nothing: it walks the staircase's records right to
+left and reads each record that holds a reported point once.
 
 Coordinates must be pairwise distinct in x across the live set.
 

@@ -275,13 +275,14 @@ def test_7_persistence_of_node_versions():
     victim = pts[777]
     assert idx.delete(victim)
     nodes = _walk(idx.root, [])
-    drains_before = [cpqa.drain(nd.queue, charged=False) for nd in nodes]
+    with idx.account.suspended():
+        drains_before = [cpqa.drain(nd.queue) for nd in nodes]
     idx.insert((victim[0], 54_321))
     assert idx.delete((victim[0], 54_321))
     nodes_after = _walk(idx.root, [])
-    restore_ok = len(nodes_after) == len(nodes) and drains_before == [
-        cpqa.drain(nd.queue, charged=False) for nd in nodes_after
-    ]
+    with idx.account.suspended():
+        drains_after = [cpqa.drain(nd.queue) for nd in nodes_after]
+    restore_ok = len(nodes_after) == len(nodes) and drains_before == drains_after
 
     ok = handles_ok and repeat_ok and restore_ok
     detail = "handles=%s repeats=%s restore=%s over %d nodes" % (

@@ -171,5 +171,5 @@ def test_skyline_run_reads_anticorrelated(monkeypatch):
     calls = []
     bias = cpqa.bias
     monkeypatch.setattr(cpqa, "bias", lambda q: calls.append(q) or bias(q))
-    assert anticorrelated_run(64, 1 / 3) == (2108, True)
+    assert anticorrelated_run(64, 1 / 3) == (2109, True)
     assert calls

@@ -37,7 +37,8 @@ def build(acct, ks):
 
 
 def drained_keys(q):
-    return [e.key for e in cpqa.drain(q, charged=False)]
+    with q.account.suspended():
+        return [e.key for e in cpqa.drain(q)]
 
 
 def test_empty_queue():
@@ -170,7 +171,8 @@ def test_payloads_survive():
     q = cpqa.empty(acct)
     for k in range(10):
         q = cpqa.insert_and_attrite(q, Element(k, {"k": k}))
-    out = cpqa.drain(q, charged=False)
+    with acct.suspended():
+        out = cpqa.drain(q)
     assert [e.payload for e in out] == [{"k": k} for k in range(10)]
 
 
@@ -248,8 +250,9 @@ def test_critical_records_of_a_version_never_handed_out():
 def test_drain_is_repeatable():
     acct = mk_account()
     q = build(acct, range(30))
-    first = cpqa.drain(q, charged=False)
-    second = cpqa.drain(q, charged=False)
+    with acct.suspended():
+        first = cpqa.drain(q)
+        second = cpqa.drain(q)
     assert first == second
     assert first == cpqa.logical_elements(q)
 
@@ -291,30 +294,57 @@ def popped(q, below=None):
 def drained_and_charged(b, script, below, mode, drain):
     """Build the script's version on a fresh account and drain it: at top
     level, inside an operation, or inside the operation that made its last
-    step. Returns the answer, the drain's reads and writes, and its largest
-    operation."""
+    step. Returns the answer, the drain's reads, the writes, the largest
+    operation, the drained version, and the runs in memory when an
+    in-operation drain started (None at top level)."""
     acct = mk_account(b=b, B=b)
     q = cpqa.empty(acct)
     for step in script[:-1]:
         q = apply_step(acct, q, step)
-    if mode == "fresh":
-        acct.reset()
-        with acct.operation():
-            q = apply_step(acct, q, script[-1])
-            got = drain(q, below)
-    else:
+    if mode != "fresh":
         q = apply_step(acct, q, script[-1])
-        acct.reset()
-        if mode == "open":
-            with acct.operation():
-                got = drain(q, below)
-        else:
-            got = drain(q, below)
-    return got, acct.counters.reads, acct.counters.writes, acct.max_op_blocks
+    acct.reset()
+    if mode == "top":
+        got = drain(q, below)
+        return got, acct.counters.reads, acct.counters.writes, acct.max_op_blocks, q, None
+    with acct.operation() as scope:
+        if mode == "fresh":
+            q = apply_step(acct, q, script[-1])
+        runs = set(scope.runs)
+        before = acct.counters.reads
+        got = drain(q, below)
+        reads = acct.counters.reads - before
+    return got, reads, acct.counters.writes, acct.max_op_blocks, q, runs
+
+
+def physical(q):
+    """(record, element) pairs of a version in physical order, children
+    included, zombies too."""
+    for dq in (q.C, q.Bq, *q.D):
+        for rec in dq:
+            for el in rec.buf.tolist():
+                yield rec, el
+            if rec.child is not None:
+                yield from physical(rec.child)
+
+
+def owed_reads(q, below, runs, B):
+    """ceil(size / B) for each distinct run of a record that holds a
+    reported element, unless the run was already in memory."""
+    holders = {}
+    best = below
+    for rec, el in reversed(list(physical(q))):
+        if best is None or el.key < best:
+            best = el.key
+            holders[cpqa._run(rec.buf)] = rec.size
+    return sum(-(-size // B) for run, size in holders.items() if run not in runs)
 
 
 @pytest.mark.parametrize("b", range(1, 9))
 def test_drain_charges_what_the_delete_min_chain_charges(monkeypatch, b):
+    """A top-level drain is the delete_min chain. Inside an operation it pops
+    nothing, gives the chain's answer and writes, and reads each record run
+    that holds a reported element once."""
     rng = random.Random(b)
     calls = [0]
     pops = []
@@ -332,7 +362,7 @@ def test_drain_charges_what_the_delete_min_chain_charges(monkeypatch, b):
 
     monkeypatch.setattr(cpqa, "delete_min", counted)
 
-    one_read = 0
+    multi = 0
     singles = set()
     scripts = [[("ins", 10 * k) for k in range(n)] for n in range(1, 5 * b + 1)]
     scripts += [drain_script(rng, b, rng.randrange(1, 5 * b + 1)) for _ in range(30)]
@@ -350,19 +380,28 @@ def test_drain_charges_what_the_delete_min_chain_charges(monkeypatch, b):
         for below in belows:
             want_keys = [k for k in keys if below is None or k < below]
             for mode in ("top", "open", "fresh"):
-                got = drained_and_charged(b, script, below, mode, drain)
+                got, reads, writes, most, drained, runs = drained_and_charged(
+                    b, script, below, mode, drain
+                )
                 want = drained_and_charged(b, script, below, mode, popped)
-                assert got == want, (script, below, mode)
-                assert [e.key for e in got[0]] == want_keys
+                assert [e.key for e in got] == want_keys
                 if mode == "top":
+                    assert (got, reads, writes, most) == want[:4], (script, below)
                     assert pops[-1] == len(want_keys)
-                elif len(want_keys) > 1 and pops[-1] == 0:
-                    one_read += 1
+                    continue
+                assert (got, writes) == (want[0], want[2]), (script, below, mode)
+                assert pops[-1] == 0
+                assert reads == owed_reads(drained, below, runs, b), (script, below, mode)
+                multi += cpqa.record_count(drained) > 1 and len(want_keys) > 1
     # single records of every size up to 5b words (at b = 1 inserts make
-    # one only of one word), and the one-record read reported several
-    # elements at a time
+    # one only of one word), and walks over versions of several records
     assert singles >= set(range(1, 5 * b + 1 if b > 1 else 2))
-    assert one_read > 0
+    assert multi > 0
+    if b == 1:
+        # the chain's head refill reads the record of 10, which reports nothing
+        script = [("ins", 0), ("ins", 10)]
+        assert drained_and_charged(1, script, 10, "open", drain)[1] == 1
+        assert drained_and_charged(1, script, 10, "open", popped)[1] == 2
 
 
 def test_logical_elements_sees_through_zombies():

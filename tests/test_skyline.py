@@ -300,7 +300,8 @@ def _check_subtree(idx, node):
     assert all(p[0] < q[0] for p, q in zip(pts, pts[1:]))
     assert node.count == len(pts)
     assert (node.xmin, node.xmax) == ((pts[0][0], pts[-1][0]) if pts else (None, None))
-    assert [el.payload for el in cpqa.drain(node.queue, charged=False)] == naive_maxima(pts)
+    with idx.account.suspended():
+        assert [el.payload for el in cpqa.drain(node.queue)] == naive_maxima(pts)
     assert node.words == sum(r.size for r in cpqa.critical_records(node.queue))
     return pts
 
@@ -473,7 +474,8 @@ def test_update_hidden_in_its_leaf_keeps_every_staircase():
     idx.insert((65, 71))
     live.append((65, 71))
     assert leaf.queue is not old
-    assert [el.payload for el in cpqa.drain(leaf.queue, charged=False)] == [(65, 71), (70, 70)]
+    with idx.account.suspended():
+        assert [el.payload for el in cpqa.drain(leaf.queue)] == [(65, 71), (70, 70)]
     _check_subtree(idx, idx.root)
     assert idx.maxima() == naive_maxima(sorted(live))
 
@@ -486,8 +488,9 @@ def test_hidden_point_into_a_full_leaf_still_splits_it():
     assert len(parent.items) == 5
     left, right = parent.items[0], parent.items[1]
     assert left.items == [(0, 0), (1, 2), (10, 10), (20, 20)]
-    assert [el.payload for el in cpqa.drain(left.queue, charged=False)] == [(20, 20)]
-    assert [el.payload for el in cpqa.drain(right.queue, charged=False)] == [(70, 70)]
+    with idx.account.suspended():
+        assert [el.payload for el in cpqa.drain(left.queue)] == [(20, 20)]
+        assert [el.payload for el in cpqa.drain(right.queue)] == [(70, 70)]
     _check_subtree(idx, idx.root)
     assert idx.maxima() == naive_maxima(sorted(_staircase_points() + [(1, 2)]))
 
@@ -548,8 +551,8 @@ def test_uniform_query_reads_its_one_record_answer_without_popping(monkeypatch):
 
 def test_anticorrelated_query_cuts_a_multi_record_answer(monkeypatch):
     # falling heights with noise make long staircases, so answers span
-    # several records and take the delete_min chain before the one-record
-    # read; y_min falls between two staircase heights or on one of them
+    # several records, which the drain walks without popping; y_min falls
+    # between two staircase heights or on one of them
     rng = random.Random(3)
     n = 3000
     pts = [(3 * i, 8 * (n - i) + rng.randrange(-320, 321)) for i in range(n)]
@@ -558,6 +561,11 @@ def test_anticorrelated_query_cuts_a_multi_record_answer(monkeypatch):
     pops = []
     delete_min = cpqa.delete_min
     monkeypatch.setattr(cpqa, "delete_min", lambda q: pops.append(q) or delete_min(q))
+    drained = []
+    drain = cpqa.drain
+    monkeypatch.setattr(
+        cpqa, "drain", lambda q, **kw: drained.append(cpqa.record_count(q)) or drain(q, **kw)
+    )
     for _ in range(100):
         lo = rng.randrange(9000)
         hi = lo + rng.randrange(1, 4000)
@@ -567,4 +575,5 @@ def test_anticorrelated_query_cuts_a_multi_record_answer(monkeypatch):
         k = rng.randrange(1, len(stairs))
         assert idx.query3(lo, hi, stairs[k][1]) == stairs[: k + 1]
         assert idx.query3(lo, hi, stairs[k][1] + 0.5) == stairs[:k]
-    assert pops
+    assert not pops
+    assert max(drained) > 1
