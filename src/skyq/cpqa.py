@@ -916,6 +916,7 @@ def _bias_absorb(account, Q, C, D, nm, b, depth):
     # record and splice its child in, attrited by what remains dirty.
     d1 = D[0]
     r, d1rest = d1.pop()
+    _load(account, r)
     moved = _new_record(account, r.buf)
     newC = C.inject(moved)
     Dres: tuple[PDeque, ...] = (d1rest,) if d1rest else ()

@@ -28,12 +28,20 @@ is over capacity, splits in half again. A split or a merge always refolds
 the parent.
 
 A 3-sided query (x in [lo, hi], y >= ymin) decomposes the x-band into O(log n)
-canonical subtrees, catenates their staircases in x order, and drains the
-result below the key (-ymin, x above all), which keeps exactly the points
-with y >= ymin. Reported points arrive in increasing x and cost roughly one block
-per b points on top of the decomposition. The drain runs inside the query's
-operation, so it pops nothing: it walks the staircase's records right to
-left and reads each record that holds a reported point once.
+canonical pieces in x order: the staircases of whole subtrees, and the in-band
+points of the leaves the band cuts. It reports by one right-to-left walk over
+the pieces with a running key that starts at (-ymin, x above all): a cut
+leaf reports each point whose key is below it, a staircase whose minimum is
+below it is drained below it, and each lowers the key to its least key.
+Catenating the pieces keeps an element exactly when it is live in its piece
+and below every key after it, so the walk reports what catenating them and
+draining below (-ymin, x above all) would, without building the catenation.
+A staircase whose minimum is not below the running key is skipped unopened.
+Reported points arrive in increasing x and cost roughly one block per b
+points on top of the decomposition. The drain runs inside the query's
+operation, so it pops nothing: it walks the staircase's records right to left
+and reads each record that holds a reported point once. maxima() is the query
+over the root's whole extent with ymin = -inf.
 
 Coordinates must be pairwise distinct in x across the live set.
 
@@ -41,12 +49,12 @@ Block accounting: fetching a node costs one block for its routing data plus
 ceil(words / B) for the staircase records an operation may touch (its queue's
 critical records). The critical records of a version are fixed when it is
 handed out, so each node keeps their word count (words) beside its queue
-version, set whenever the version is. Those records are pinned while the
-node takes part in a query or rebuild, so the queue machinery itself reads
-nothing cold, with one measured exception: bias, in a refold's _prep or
-inside concat_sequence, can load Bq records that no child lists among its
-critical records. That happens on anti-correlated points only, never on
-uniform ones.
+version, set whenever the version is. Those records are pinned while a
+query drains the node's staircase or a rebuild folds it, so the queue
+machinery itself reads nothing cold, with one measured exception: bias, in a
+refold's _prep or inside concat_sequence, can load Bq records that no child
+lists among its critical records. That happens on anti-correlated points
+only, never on uniform ones.
 """
 
 from __future__ import annotations
@@ -147,10 +155,7 @@ class SkylineIndex:
         """The live maxima staircase, in increasing x."""
         if self.root is None:
             return []
-        with self.account.operation():
-            self._charge_node(self.root)
-            with self._pinning([self.root.queue]):
-                return [el.payload for el in cpqa.drain(self.root.queue)]
+        return self.query3(self.root.xmin, self.root.xmax, float("-inf"))
 
     # -- queries ---------------------------------------------------------------
 
@@ -158,34 +163,54 @@ class SkylineIndex:
         """Maxima among the points with x in [x_lo, x_hi] and y >= y_min."""
         if self.root is None or x_lo > x_hi:
             return []
-        whole: list = []
-        queues: list = []
+        pieces: list = []
         with self.account.operation():
-            self._decompose(self.root, x_lo, x_hi, whole, queues)
-            if not queues:
-                return []
-            with self._pinning(whole):
-                aux = cpqa.concat_sequence(queues)
-                return [el.payload for el in cpqa.drain(aux, below=(-y_min, _ABOVE_ALL))]
+            self._decompose(self.root, x_lo, x_hi, pieces)
+            # right to left with a running key best: the catenation of the
+            # pieces keeps an element iff it is live in its piece and below
+            # every key after it, so a piece reports what it holds below best
+            # and best falls to its least key; a queue with nothing below
+            # best is neither pinned nor opened
+            best = (-y_min, _ABOVE_ALL)
+            parts: list = []
+            for piece in reversed(pieces):
+                if type(piece) is list:
+                    run = []
+                    for p in reversed(piece):
+                        key = skyline_key(p)
+                        if key < best:
+                            run.append(p)
+                            best = key
+                    run.reverse()
+                    parts.append(run)
+                elif piece.cached_min is not None and piece.cached_min.key < best:
+                    parts.append((piece, best))
+                    best = piece.cached_min.key
+            with self._pinning([part[0] for part in parts if type(part) is tuple]):
+                out: list = []
+                for part in reversed(parts):
+                    if type(part) is list:
+                        out += part
+                    else:
+                        out += [el.payload for el in cpqa.drain(part[0], below=part[1])]
+                return out
 
-    def _decompose(self, node: _Node, lo, hi, whole: list, queues: list) -> None:
-        # canonical cover of the x-band, queues kept in x order: whole nodes'
-        # queues (also kept in whole, to be pinned), and the points of a leaf
-        # the band cuts, folded on the spot
+    def _decompose(self, node: _Node, lo, hi, pieces: list) -> None:
+        # canonical cover of the x-band, in x order: a whole node's queue, or
+        # the in-band points of a leaf the band cuts
         self._charge_node(node)
         if node.count == 0 or node.xmax < lo or node.xmin > hi:
             return
         if lo <= node.xmin and node.xmax <= hi:
-            whole.append(node.queue)
-            queues.append(node.queue)
+            pieces.append(node.queue)
         elif node.leaf:
             pts = [p for p in node.items if lo <= p[0] <= hi]
             if pts:
-                queues.append(self._fold_points(pts))
+                pieces.append(pts)
         else:
             for ch in node.items:
                 if ch.xmax is not None and ch.xmax >= lo and ch.xmin <= hi:
-                    self._decompose(ch, lo, hi, whole, queues)
+                    self._decompose(ch, lo, hi, pieces)
 
     # -- updates -----------------------------------------------------------------
 
@@ -346,7 +371,9 @@ class SkylineIndex:
                 return None
         return self._refresh_or_split(node)
 
-    def _delete_rec(self, node: _Node, point) -> bool:
+    def _delete_rec(self, node: _Node, point, has_sibling: bool = False) -> bool:
+        # a node that underflows and has a sibling is merged by its parent,
+        # which refreshes the merged node, so it is not refreshed here
         self._charge_node(node)
         if node.leaf:
             if point not in node.items:
@@ -357,14 +384,19 @@ class SkylineIndex:
         else:
             i, ch = self._child_for(node, point[0])
             old = ch.queue
-            if not self._delete_rec(ch, point):
+            many = len(node.items) > 1
+            if not self._delete_rec(ch, point, many):
                 return False
-            if len(ch.items) < max(1, self._capacity(ch) // 4) and len(node.items) > 1:
+            if many and self._underflows(ch):
                 self._rebalance_child(node, i)
             elif self._keeps_staircase(node, i, old, -1):
                 return True
-        self._refresh(node)
+        if not (has_sibling and self._underflows(node)):
+            self._refresh(node)
         return True
+
+    def _underflows(self, node: _Node) -> bool:
+        return len(node.items) < max(1, self._capacity(node) // 4)
 
     def _leaf_keeps_staircase(self, node: _Node, point, added: int) -> bool:
         """After point joined (added 1) or left (added -1) the leaf's items:

@@ -247,6 +247,19 @@ def test_critical_records_of_a_version_never_handed_out():
     assert acct.pinned_words == 2
 
 
+def test_surfacing_a_dirty_record_reads_it():
+    # bias surfaces the only dirty record as a clean record over the same
+    # run; it reads the record first, so the pop that then loads the run
+    # finds it in memory, and the operation pays for it once
+    acct = mk_account(b=4, B=4)
+    rd = cpqa._new_record(acct, cpqa._Buf.of([Element(k) for k in range(8)]))
+    q = Queue(acct, PDeque.empty(), PDeque.empty(), (PDeque.of([rd]),), Element(0))
+    el, rest = cpqa.delete_min(q)
+    assert el.key == 0
+    assert acct.counters.reads == 2
+    assert drained_keys(rest) == list(range(1, 8))
+
+
 def test_drain_is_repeatable():
     acct = mk_account()
     q = build(acct, range(30))
