@@ -51,10 +51,10 @@ critical records). The critical records of a version are fixed when it is
 handed out, so each node keeps their word count (words) beside its queue
 version, set whenever the version is. Those records are pinned while a
 query drains the node's staircase or a rebuild folds it, so the queue
-machinery itself reads nothing cold, with one measured exception: bias, in a
-refold's _prep or inside concat_sequence, can load Bq records that no child
-lists among its critical records. That happens on anti-correlated points
-only, never on uniform ones.
+machinery itself reads nothing cold, with one measured exception: bias
+inside concat_sequence can load Bq records that no child lists among its
+critical records. That happens on anti-correlated points only, never on
+uniform ones.
 """
 
 from __future__ import annotations
@@ -282,11 +282,6 @@ class SkylineIndex:
         keep.reverse()
         return cpqa.from_run(self.account, keep)
 
-    def _prep(self, q):
-        while (q.Bq or q.D) and cpqa.delta(q) < 2:
-            q = cpqa.bias(q)
-        return q
-
     def _capacity(self, node: _Node) -> int:
         return self.b if node.leaf else 2 * self.fanout
 
@@ -315,7 +310,7 @@ class SkylineIndex:
             queues = [ch.queue for ch in items if ch.queue.cached_min is not None]
             if queues:
                 with self._pinning(queues):
-                    q = self._prep(cpqa.concat_sequence(queues))
+                    q = cpqa.concat_sequence(queues)
             else:
                 q = cpqa.empty(self.account)
             node.count = sum(ch.count for ch in items)
@@ -422,10 +417,10 @@ class SkylineIndex:
         staircase, move its count by added, reset its extent and say so.
 
         concat_sequence folds right to left, and _catenate(q, acc) returns acc
-        untouched when acc's minimum key is <= q's. So the fold, and _prep
-        after it, never see a child whose staircase version is unchanged, nor
-        one whose old and new staircases are each empty or have a minimum
-        key >= the least minimum key among its right siblings.
+        untouched when acc's minimum key is <= q's. So the fold, and the
+        bias that ends it, never see a child whose staircase version is
+        unchanged, nor one whose old and new staircases are each empty or
+        have a minimum key >= the least minimum key among its right siblings.
         """
         new = node.items[i].queue
         if new is not old:

@@ -646,14 +646,47 @@ def test_concat_sequence_attrites_across_segments():
     assert drained_keys(out) == list(range(0, 10)) + list(range(10, 40))
 
 
+def test_concat_sequence_hands_back_a_prepared_operand():
+    # two all-clean queues whose fold opens a dirty deque at b = 2 and ends
+    # at delta 1 before its closing bias
+    acct = mk_account(b=2)
+    left = cpqa.catenate_and_attrite(build(acct, [0, 1]), build(acct, [2, 3, 4]))
+    out = cpqa.concat_sequence([left, build(acct, [5, 6, 7])])
+    assert cpqa.delta(out) >= 2
+    again = cpqa.concat_sequence([out, build(acct, [8, 9])])
+    assert drained_keys(again) == list(range(10))
+    assert cpqa.validate(again) == []
+
+
+def test_concat_sequence_biases_a_beheaded_operand_with_no_clean_record():
+    # right is prepared (delta 2) with one clean record and a buffer deque;
+    # the fold's step beheads it to a version with an empty clean deque,
+    # which must not become a record's child as it is
+    acct = mk_account(b=4)
+    runs = [range(21, 29), range(40, 47), range(43, 48), [41, 44, 45]]
+    right = cpqa.empty(acct)
+    ref = []
+    for ks in runs:
+        right = cpqa.catenate_and_attrite(right, build(acct, ks))
+        ref = oracle.naive_catenate_and_attrite(ref, [(k, None) for k in ks])
+    assert (len(right.C), len(right.Bq), cpqa.delta(right)) == (1, 1, 2)
+    out = cpqa.concat_sequence([build(acct, range(20, 27)), right])
+    assert cpqa.validate(out) == []
+    assert drained_keys(out) == [20] + [k for k, _ in ref]
+
+
 def test_concat_sequence_rejects_unbalanced_input():
     acct = mk_account()
     rc = cpqa._new_record(acct, cpqa._Buf.of([Element(3), Element(4)]))
+    rc2 = cpqa._new_record(acct, cpqa._Buf.of([Element(6), Element(7)]))
     rd = cpqa._new_record(acct, cpqa._Buf.of([Element(10), Element(11)]))
     lopsided = Queue(acct, PDeque.of([rc]), PDeque.empty(), (PDeque.of([rd]),), Element(3))
     assert cpqa.delta(lopsided) == 0
-    with pytest.raises(PreconditionViolatedError):
-        cpqa.concat_sequence([cpqa.singleton(acct, Element(1)), lopsided])
+    short = Queue(acct, PDeque.of([rc, rc2]), PDeque.empty(), (PDeque.of([rd]),), Element(3))
+    assert cpqa.delta(short) == 1 and cpqa.validate(short) == []
+    for q in (lopsided, short):
+        with pytest.raises(PreconditionViolatedError):
+            cpqa.concat_sequence([cpqa.singleton(acct, Element(1)), q])
     with pytest.raises(PreconditionViolatedError):
         cpqa.concat_sequence([])
 
@@ -694,6 +727,27 @@ def test_interleaved_against_reference():
     st.integers(2, 6),
 )
 def test_property_matches_reference(opseq, b):
+    replay_against_reference(opseq, b)
+
+
+# Falsifying examples of the property above. Each loses one live element
+# where _bias_buffer's _combine_pair(..., allow_takes=False) answers
+# "prepend" and merges the surviving head of Bq into the first dirty record
+# behind the rest of Bq. The result is structurally valid, so only the
+# reference sees it; b = 4 reaches the fault as well as b <= 3.
+@pytest.mark.xfail(strict=True, reason="_bias_buffer prepend fault drops a live element")
+@pytest.mark.parametrize(
+    "opseq, b",
+    [
+        ([("cat", 0), ("cat", 75), ("cat", 75)], 4),
+        ([("ins", 0), ("ins", 1), ("ins", 2), ("cat", 1), ("cat", 1)], 3),
+    ],
+)
+def test_bias_buffer_prepend_fault_witnesses(opseq, b):
+    replay_against_reference(opseq, b)
+
+
+def replay_against_reference(opseq, b):
     acct = mk_account(b=b)
     q = cpqa.empty(acct)
     ref = []
