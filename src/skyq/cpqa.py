@@ -52,8 +52,9 @@ operations join it. When the outermost operation exits, held buffers
 handed-out version's working set are written back, ceil(words / B) block
 writes per backing run above its flushed watermark; buffers shorter than b
 words live in the version's guaranteed memory allowance and are never
-flushed. critical_records names the records worth pinning and registers
-nothing: whoever pins a record registers it with the account first.
+flushed. critical_records names the records worth pinning or bringing in
+(bring_in) and registers nothing: whoever pins a record registers it with
+the account first.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ __all__ = [
     "bias",
     "delta",
     "critical_records",
+    "bring_in",
     "logical_elements",
     "size_elements",
     "record_count",
@@ -467,11 +469,20 @@ def delta(Q: Queue) -> int:
 
 
 def critical_records(Q: Queue) -> tuple[Record, ...]:
-    """The records an operation on this version may touch; pin these to
-    keep the version's operations free of cold reads. A pure query: the
-    caller registers each record (rid, size) with the account before
-    pinning it."""
+    """The records an operation on this version may touch; pinned or
+    brought in (bring_in), they keep the version's operations free of cold
+    reads. A pure query: whoever pins a record registers it first."""
     return Q.focal if Q.focal is not None else _focal_records(Q)
+
+
+def bring_in(Q: Queue) -> None:
+    """Count the runs of Q's critical records as read by the open operation,
+    charging nothing: the caller prices them (the index charges a node's
+    critical records when it fetches the node). A no-op outside an
+    operation, as _load is."""
+    scope = Q.account.current_op()
+    if scope is not None:
+        scope.runs.update(_run(rec.buf) for rec in critical_records(Q))
 
 
 # -- attrition surgery helpers ----------------------------------------------
@@ -971,7 +982,7 @@ def _repair_head(account, res, moved, nm, b, depth):
     return Queue(account, newC, sub.Bq, sub.D, nm)
 
 
-# -- folding a pinned sequence -------------------------------------------------
+# -- folding a prepared sequence -----------------------------------------------
 
 
 def concat_sequence(queues: list[Queue]) -> Queue:
@@ -981,10 +992,10 @@ def concat_sequence(queues: list[Queue]) -> Queue:
     clean (an all-clean version has delta |C| + 1 >= 2 anyway). The result
     is prepared too, since the fold ends by biasing it up to delta 2, so it
     can go into a later fold as it is. With each queue's critical records
-    pinned, the fold reads nothing cold, with one measured exception: a bias
-    inside the fold can load Bq records that no operand lists among its
-    critical records. Skyline refolds reach that on anti-correlated points
-    only, never on uniform ones.
+    pinned or brought in, the fold reads nothing cold, with one measured
+    exception: a bias inside the fold can load Bq records that no operand
+    lists among its critical records. Skyline refolds reach that on
+    anti-correlated points only, never on uniform ones.
     """
     if not queues:
         raise PreconditionViolatedError("empty sequence")

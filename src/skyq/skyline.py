@@ -49,18 +49,20 @@ Block accounting: fetching a node costs one block for its routing data plus
 ceil(words / B) for the staircase records an operation may touch (its queue's
 critical records). The critical records of a version are fixed when it is
 handed out, so each node keeps their word count (words) beside its queue
-version, set whenever the version is. Those records are pinned while a
-query drains the node's staircase or a rebuild folds it, so the queue
-machinery itself reads nothing cold, with one measured exception: bias
-inside concat_sequence can load Bq records that no child lists among its
-critical records. That happens on anti-correlated points only, never on
-uniform ones.
+version, set whenever the version is. A query that drains a node's
+staircase, or a refold that folds it, first brings those records into its
+operation's memory (cpqa.bring_in), where they stay until the operation
+ends. A query has fetched every node it drains; a refold has fetched the
+child on the update's path, and its siblings' records are charged nothing.
+The queue machinery itself then reads nothing cold, with one measured
+exception: bias inside concat_sequence can load Bq records that no child
+lists among its critical records. That happens on anti-correlated points
+only, never on uniform ones.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from contextlib import contextmanager
 
 from . import cpqa
 from .blockio import IoAccount, IoConfig, IoCounters
@@ -170,30 +172,22 @@ class SkylineIndex:
             # pieces keeps an element iff it is live in its piece and below
             # every key after it, so a piece reports what it holds below best
             # and best falls to its least key; a queue with nothing below
-            # best is neither pinned nor opened
+            # best is not opened
             best = (-y_min, _ABOVE_ALL)
-            parts: list = []
+            out: list = []
             for piece in reversed(pieces):
                 if type(piece) is list:
-                    run = []
                     for p in reversed(piece):
                         key = skyline_key(p)
                         if key < best:
-                            run.append(p)
+                            out.append(p)
                             best = key
-                    run.reverse()
-                    parts.append(run)
                 elif piece.cached_min is not None and piece.cached_min.key < best:
-                    parts.append((piece, best))
+                    cpqa.bring_in(piece)
+                    out += [el.payload for el in reversed(cpqa.drain(piece, below=best))]
                     best = piece.cached_min.key
-            with self._pinning([part[0] for part in parts if type(part) is tuple]):
-                out: list = []
-                for part in reversed(parts):
-                    if type(part) is list:
-                        out += part
-                    else:
-                        out += [el.payload for el in cpqa.drain(part[0], below=part[1])]
-                return out
+            out.reverse()
+            return out
 
     def _decompose(self, node: _Node, lo, hi, pieces: list) -> None:
         # canonical cover of the x-band, in x order: a whole node's queue, or
@@ -253,25 +247,6 @@ class SkylineIndex:
         # routing data plus the staircase records an operation may touch
         self.account.charge_read_words(self.B + node.words)
 
-    @contextmanager
-    def _pinning(self, queues):
-        """Register and pin the critical records of the given queues that
-        are not pinned yet, and unpin exactly those on exit, which drops
-        their registrations."""
-        account = self.account
-        mine = []
-        for q in queues:
-            for rec in cpqa.critical_records(q):
-                if not account.is_pinned(rec.rid):
-                    account.register(rec.rid, rec.size)
-                    account.pin(rec.rid)
-                    mine.append(rec.rid)
-        try:
-            yield
-        finally:
-            for rid in mine:
-                account.unpin(rid)
-
     def _fold_points(self, pts):
         # the staircase of points in x order: right to left, a point survives
         # only if it is higher than every point after it
@@ -298,8 +273,10 @@ class SkylineIndex:
         _leaf_keeps_staircase), on every node whose child list changed, and
         on the path up to the first ancestor whose changed child is hidden
         (see _keeps_staircase); above that, nodes keep their queue versions
-        and only their counts and extents move. It sets words with the
-        queue: the critical records' word count that _charge_node charges.
+        and only their counts and extents move. The fold first brings every
+        child's critical records into the operation's memory, uncharged.
+        It sets words with the queue: the critical records' word count that
+        _charge_node charges.
         """
         items = node.items
         if node.leaf:
@@ -309,8 +286,9 @@ class SkylineIndex:
         else:
             queues = [ch.queue for ch in items if ch.queue.cached_min is not None]
             if queues:
-                with self._pinning(queues):
-                    q = cpqa.concat_sequence(queues)
+                for q in queues:
+                    cpqa.bring_in(q)
+                q = cpqa.concat_sequence(queues)
             else:
                 q = cpqa.empty(self.account)
             node.count = sum(ch.count for ch in items)

@@ -7,11 +7,13 @@ the full-size workloads.
 """
 
 import math
+import os
 import random
 import subprocess
 import sys
 import time
 
+import skyq
 from skyq import cpqa
 from skyq.blockio import IoAccount, IoConfig
 from skyq.cli import run_equivalence
@@ -322,10 +324,14 @@ def test_8_space_shape():
 
 
 def _run_cli(argv):
+    # the child imports the same skyq sources as this process
+    src = os.path.dirname(os.path.dirname(os.path.abspath(skyq.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     return subprocess.run(
         [sys.executable, "-m", "skyq.cli", *argv],
         capture_output=True,
         timeout=300,
+        env=env,
     )
 
 

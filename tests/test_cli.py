@@ -1,11 +1,13 @@
 """Tests for the command line front end."""
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import skyq
 from skyq.cli import main
 
 
@@ -61,11 +63,15 @@ def test_unknown_command_rejected():
 
 
 def test_module_entry_point_runs():
+    # the child imports the same skyq sources as this process
+    src = os.path.dirname(os.path.dirname(os.path.abspath(skyq.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "skyq.cli", "run", "--seed", "1", "--ops", "500", "--pool", "4"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0
     assert "ok" in proc.stdout

@@ -6,6 +6,7 @@ every step.
 """
 
 import itertools
+import math
 import random
 import re
 
@@ -245,6 +246,27 @@ def test_critical_records_of_a_version_never_handed_out():
     acct.register(rc.rid, rc.size)
     acct.pin(rc.rid)
     assert acct.pinned_words == 2
+
+
+def test_bring_in_makes_critical_records_free_for_the_operation():
+    acct = mk_account(b=4, B=4)
+    recs = [cpqa._new_record(acct, cpqa._Buf.of([Element(10 * i + j) for j in range(10)])) for i in range(5)]
+    q = Queue(acct, PDeque.of(recs), PDeque.empty(), (), Element(0))
+    critical = cpqa.critical_records(q)
+    other = next(rec for rec in recs if rec not in critical)
+    cpqa.bring_in(q)  # outside an operation: a no-op
+    assert acct.current_op() is None and acct.counters.reads == 0
+    with acct.operation():
+        cpqa._load(acct, critical[0])  # not brought in here: a cold read
+        assert acct.counters.reads == 3
+    with acct.operation():
+        cpqa.bring_in(q)
+        assert acct.counters.reads == 3
+        for rec in critical:
+            cpqa._load(acct, rec)
+        assert acct.counters.reads == 3
+        cpqa._load(acct, other)
+        assert acct.counters.reads == 3 + math.ceil(other.size / 4) == 6
 
 
 def test_surfacing_a_dirty_record_reads_it():

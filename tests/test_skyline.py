@@ -189,28 +189,32 @@ def test_counters_move_under_queries():
     assert after.reads > before.reads
 
 
-def test_pins_released_after_every_operation():
+def test_index_takes_no_pins_and_closes_every_operation():
     rng = random.Random(9)
     xs = rng.sample(range(100_000), 900)
     live = {x: (x, rng.randrange(10_000)) for x in xs[:600]}
     idx = SkylineIndex(live.values(), B=16, epsilon=0.5)
     acct = idx.account
-    assert acct.pinned_words == 0 and not acct._registry
+
+    def idle():
+        return acct.current_op() is None and acct.depth() == 0 and acct.pinned_words == 0 and not acct._registry
+
+    assert idle()
     for x in xs[600:]:
         lo, hi, ym = rng.randrange(100_000), rng.randrange(100_000), rng.randrange(10_000)
         assert idx.query3(lo, hi, ym) == naive_query3(list(live.values()), lo, hi, ym)
-        assert acct.pinned_words == 0 and not acct._registry
+        assert idle()
         live[x] = (x, rng.randrange(10_000))
         idx.insert(live[x])
-        assert acct.pinned_words == 0 and not acct._registry
+        assert idle()
         with pytest.raises(ValueError):
             idx.insert((x, 1))
-        assert acct.pinned_words == 0 and not acct._registry
+        assert idle()
         assert idx.delete(live.pop(rng.choice(list(live))))
-        assert acct.pinned_words == 0 and not acct._registry
+        assert idle()
     assert idx.maxima() == naive_maxima(list(live.values()))
-    assert acct.pinned_words == 0 and not acct._registry
-    assert acct.counters.peak_pinned_words > 0
+    assert idle()
+    assert acct.counters.peak_pinned_words == 0
 
 
 def test_second_thread_is_refused_while_the_account_is_held():
@@ -607,17 +611,19 @@ def test_underflowing_leaf_is_refreshed_only_by_its_merge(monkeypatch):
 
 def _catenate_then_drain(idx, lo, hi, ym):
     """query3 as the paper states it: catenate the staircases of the
-    canonical pieces, with every whole node's critical records pinned, and
-    drain the result below (-ym, x above all)."""
+    canonical pieces, with every whole node's critical records brought in,
+    and drain the result below (-ym, x above all)."""
     pieces = []
     with idx.account.operation():
         idx._decompose(idx.root, lo, hi, pieces)
         if not pieces:
             return []
         queues = [idx._fold_points(p) if type(p) is list else p for p in pieces]
-        with idx._pinning([p for p in pieces if type(p) is not list]):
-            aux = cpqa.concat_sequence(queues)
-            return [el.payload for el in cpqa.drain(aux, below=(-ym, _ABOVE_ALL))]
+        for p in pieces:
+            if type(p) is not list:
+                cpqa.bring_in(p)
+        aux = cpqa.concat_sequence(queues)
+        return [el.payload for el in cpqa.drain(aux, below=(-ym, _ABOVE_ALL))]
 
 
 # Where the catenation meets the _bias_buffer prepend fault (see cpqa) its
