@@ -12,38 +12,35 @@ staircase is the attriting catenation of its children's staircases, which
 the queues fold in O(1) block transfers per node.
 
 An update fetches every node on its leaf-to-root path and keeps each one's
-count and extent, but rebuilds staircases only where they can change. A
-point gained or lost that a point at least as high to its right in the same
-leaf hides is on no staircase: the leaf keeps its queue version (unless it
-splits or merges), and so does every node above it. Otherwise the update refolds
-staircases only up to the first ancestor where the changed child is hidden:
-its old and new staircases both have a minimum key no smaller than the least
-minimum among its right siblings (an empty staircase counts as hidden). The
-fold attrites such a child wholly, so that ancestor keeps its queue version,
-and every node above it sees an unchanged child and keeps its own. Updates
-keep every node within its capacity: a node over it splits in half, and the
-two halves are refreshed right first. A node left with fewer than
-max(1, capacity // 4) items merges with a neighbour, and if the merged list
-is over capacity, splits in half again. A split or a merge always refolds
-the parent.
+count and extent, but refolds staircases only where they can change. One
+hiding rule (_hides) says where: a key is hidden by the keys after it when
+it is not below one of them, and an attriting catenation then drops it. A
+point gained or lost that the points to its right in its leaf hide is on no
+staircase and dominates nothing its hider does not, so the leaf keeps its
+queue version (unless it splits or merges), and so does every node above
+it. Otherwise the update refolds up to the first ancestor whose changed
+child has its old and new minima hidden by its right siblings' staircases:
+the fold attrites that child wholly, so the ancestor and every node above
+it keep their versions. A node over capacity splits in half, the halves
+refreshed right first. A node left with fewer than max(1, capacity // 4)
+items merges with a neighbour, and splits again if the merged list is over
+capacity. A split or a merge always refolds the parent.
 
-A 3-sided query (x in [lo, hi], y >= ymin) decomposes the x-band into O(log n)
-canonical pieces in x order: the staircases of whole subtrees, and the in-band
-points of the leaves the band cuts. It reports by one right-to-left walk over
-the pieces with a running key that starts at (-ymin, x above all): a cut
-leaf reports each point whose key is below it, a staircase whose minimum is
-below it is drained below it, and each lowers the key to its least key.
-Catenating the pieces keeps an element exactly when it is live in its piece
-and below every key after it, so the walk reports what catenating them and
-draining below (-ymin, x above all) would, without building the catenation.
-A staircase whose minimum is not below the running key is skipped unopened.
-Reported points arrive in increasing x and cost roughly one block per b
-points on top of the decomposition. The drain runs inside the query's
-operation, so it pops nothing: it walks the staircase's records right to left
-and reads each record that holds a reported point once. maxima() is the query
+A 3-sided query (x in [lo, hi], y >= ymin) is one right-to-left descent to
+the band's O(log n) canonical pieces along its two boundary paths: whole
+subtrees in the band, and the leaves it cuts. A running key starts at
+(-ymin, x above all). A cut leaf reports each in-band point whose key is
+below it; a whole subtree is skipped unopened if the key hides its
+staircase's minimum, and drained below the key otherwise; each lowers the
+key to its least key. Catenating the pieces keeps an element exactly when it
+is live in its piece and below every key after it, so the descent reports
+what catenating them and draining below (-ymin, x above all) would, without
+building the catenation. The drain runs inside the query's operation, so it
+pops nothing and reads each record that holds a reported point once: about
+one block per b points on top of the node fetches. maxima() is the query
 over the root's whole extent with ymin = -inf.
 
-Coordinates must be pairwise distinct in x across the live set.
+Coordinates must not be NaN, and x must be distinct across the live set.
 
 Block accounting: fetching a node costs one block for its routing data plus
 ceil(words / B) for the staircase records an operation may touch (its queue's
@@ -62,7 +59,7 @@ only, never on uniform ones.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left
 
 from . import cpqa
 from .blockio import IoAccount, IoConfig, IoCounters
@@ -91,6 +88,27 @@ class _AboveAll:
 
 
 _ABOVE_ALL = _AboveAll()
+
+
+def _hides(later, keys) -> bool:
+    """Whether each of keys is not below some key in later, which is scanned
+    once per key up to the first such key. A point so hidden is dominated; a
+    staircase whose minimum is so hidden attrites wholly in a catenation
+    with later after it."""
+    for k in keys:
+        for h in later:
+            if not k < h:
+                break
+        else:
+            return False
+    return True
+
+
+def _point(p) -> tuple:
+    x, y = p[0], p[1]
+    if x != x or y != y:
+        raise ValueError("NaN coordinate: %r" % ((x, y),))
+    return (x, y)
 
 
 def _derive_params(B: int, epsilon: float) -> tuple[int, int]:
@@ -129,7 +147,7 @@ class SkylineIndex:
         self.account = IoAccount(IoConfig(B, 4096 * B, self.b))
         self.B = B
         self.root: _Node | None = None
-        pts = sorted((p[0], p[1]) for p in points)
+        pts = sorted(map(_point, points))
         for i in range(1, len(pts)):
             if pts[i - 1][0] == pts[i][0]:
                 raise ValueError("duplicate x coordinate: %r" % (pts[i][0],))
@@ -165,51 +183,43 @@ class SkylineIndex:
         """Maxima among the points with x in [x_lo, x_hi] and y >= y_min."""
         if self.root is None or x_lo > x_hi:
             return []
-        pieces: list = []
+        out: list = []
         with self.account.operation():
-            self._decompose(self.root, x_lo, x_hi, pieces)
-            # right to left with a running key best: the catenation of the
-            # pieces keeps an element iff it is live in its piece and below
-            # every key after it, so a piece reports what it holds below best
-            # and best falls to its least key; a queue with nothing below
-            # best is not opened
-            best = (-y_min, _ABOVE_ALL)
-            out: list = []
-            for piece in reversed(pieces):
-                if type(piece) is list:
-                    for p in reversed(piece):
-                        key = skyline_key(p)
-                        if key < best:
-                            out.append(p)
-                            best = key
-                elif piece.cached_min is not None and piece.cached_min.key < best:
-                    cpqa.bring_in(piece)
-                    out += [el.payload for el in reversed(cpqa.drain(piece, below=best))]
-                    best = piece.cached_min.key
-            out.reverse()
-            return out
+            self._report(self.root, x_lo, x_hi, (-y_min, _ABOVE_ALL), out)
+        out.reverse()
+        return out
 
-    def _decompose(self, node: _Node, lo, hi, pieces: list) -> None:
-        # canonical cover of the x-band, in x order: a whole node's queue, or
-        # the in-band points of a leaf the band cuts
+    def _report(self, node: _Node, lo, hi, best, out: list):
+        """Append to out, right to left, the maxima in node's subtree and
+        the band whose key is below best; return the least key appended, or
+        best if none."""
         self._charge_node(node)
         if node.count == 0 or node.xmax < lo or node.xmin > hi:
-            return
+            return best
         if lo <= node.xmin and node.xmax <= hi:
-            pieces.append(node.queue)
-        elif node.leaf:
-            pts = [p for p in node.items if lo <= p[0] <= hi]
-            if pts:
-                pieces.append(pts)
-        else:
-            for ch in node.items:
-                if ch.xmax is not None and ch.xmax >= lo and ch.xmin <= hi:
-                    self._decompose(ch, lo, hi, pieces)
+            q = node.queue
+            if _hides((best,), (q.cached_min.key,)):
+                return best
+            cpqa.bring_in(q)
+            out += [el.payload for el in reversed(cpqa.drain(q, below=best))]
+            return q.cached_min.key
+        if node.leaf:
+            for p in reversed(node.items):
+                if lo <= p[0] <= hi:
+                    key = skyline_key(p)
+                    if key < best:
+                        out.append(p)
+                        best = key
+            return best
+        for ch in reversed(node.items):
+            if ch.xmax is not None and ch.xmax >= lo and ch.xmin <= hi:
+                best = self._report(ch, lo, hi, best, out)
+        return best
 
     # -- updates -----------------------------------------------------------------
 
     def insert(self, point) -> None:
-        point = (point[0], point[1])
+        point = _point(point)
         with self.account.operation():
             if self.root is None:
                 self.root = self._node(True, [point])
@@ -268,21 +278,16 @@ class SkylineIndex:
     def _refresh(self, node: _Node) -> None:
         """Rebuild the node's staircase, count and extent from its items.
 
-        Updates call it on a leaf whose staircase may change (not when the
-        point gained or lost is hidden in the leaf, see
-        _leaf_keeps_staircase), on every node whose child list changed, and
-        on the path up to the first ancestor whose changed child is hidden
-        (see _keeps_staircase); above that, nodes keep their queue versions
-        and only their counts and extents move. The fold first brings every
-        child's critical records into the operation's memory, uncharged.
-        It sets words with the queue: the critical records' word count that
+        Updates call it where a staircase may change (see _hides); every
+        other node on the path only recounts. The fold first brings every
+        child's critical records into the operation's memory, uncharged. It
+        sets words with the queue: the critical records' word count that
         _charge_node charges.
         """
         items = node.items
         if node.leaf:
             q = self._fold_points(items)
-            node.count = len(items)
-            node.xmin, node.xmax = (items[0][0], items[-1][0]) if items else (None, None)
+            count = len(items)
         else:
             queues = [ch.queue for ch in items if ch.queue.cached_min is not None]
             if queues:
@@ -291,10 +296,20 @@ class SkylineIndex:
                 q = cpqa.concat_sequence(queues)
             else:
                 q = cpqa.empty(self.account)
-            node.count = sum(ch.count for ch in items)
-            node.xmin, node.xmax = items[0].xmin, items[-1].xmax
+            count = sum(ch.count for ch in items)
         node.queue = q
         node.words = sum(r.size for r in cpqa.critical_records(q))
+        self._recount(node, count)
+
+    def _recount(self, node: _Node, count: int) -> None:
+        """Set node's count and reset its extent from its items; an update
+        that keeps node's staircase does only this."""
+        items = node.items
+        node.count = count
+        if node.leaf:
+            node.xmin, node.xmax = (items[0][0], items[-1][0]) if items else (None, None)
+        else:
+            node.xmin, node.xmax = items[0].xmin, items[-1].xmax
 
     def _refresh_or_split(self, node: _Node) -> "_Node | None":
         """Refresh the node, or split it in half when it is over capacity and
@@ -328,90 +343,67 @@ class SkylineIndex:
 
     def _insert_rec(self, node: _Node, point) -> "_Node | None":
         self._charge_node(node)
+        items = node.items
         if node.leaf:
-            if any(p[0] == point[0] for p in node.items):
+            j = bisect_left(items, point)
+            if any(p[0] == point[0] for p in items[max(j - 1, 0) : j + 1]):
                 raise ValueError("duplicate x coordinate: %r" % (point[0],))
-            insort(node.items, point)
-            if len(node.items) <= self.b and self._leaf_keeps_staircase(node, point, 1):
-                return None
+            items.insert(j, point)
+            keep = len(items) <= self.b and _hides(map(skyline_key, items[j + 1 :]), (skyline_key(point),))
         else:
             i, ch = self._child_for(node, point[0])
             old = ch.queue
             split = self._insert_rec(ch, point)
             if split is not None:
-                node.items.insert(i + 1, split)
-            elif self._keeps_staircase(node, i, old, 1):
-                return None
+                items.insert(i + 1, split)
+            keep = split is None and self._child_hidden(node, i, old)
+        if keep:
+            self._recount(node, node.count + 1)
+            return None
         return self._refresh_or_split(node)
 
     def _delete_rec(self, node: _Node, point, has_sibling: bool = False) -> bool:
         # a node that underflows and has a sibling is merged by its parent,
         # which refreshes the merged node, so it is not refreshed here
         self._charge_node(node)
+        items = node.items
         if node.leaf:
-            if point not in node.items:
+            j = bisect_left(items, point)
+            if j == len(items) or items[j] != point:
                 return False
-            node.items.remove(point)
-            if self._leaf_keeps_staircase(node, point, -1):
-                return True
+            del items[j]
+            keep = _hides(map(skyline_key, items[j:]), (skyline_key(point),))
         else:
             i, ch = self._child_for(node, point[0])
             old = ch.queue
-            many = len(node.items) > 1
+            many = len(items) > 1
             if not self._delete_rec(ch, point, many):
                 return False
             if many and self._underflows(ch):
                 self._rebalance_child(node, i)
-            elif self._keeps_staircase(node, i, old, -1):
-                return True
-        if not (has_sibling and self._underflows(node)):
+                keep = False
+            else:
+                keep = self._child_hidden(node, i, old)
+        if keep:
+            self._recount(node, node.count - 1)
+        elif not (has_sibling and self._underflows(node)):
             self._refresh(node)
         return True
 
     def _underflows(self, node: _Node) -> bool:
         return len(node.items) < max(1, self._capacity(node) // 4)
 
-    def _leaf_keeps_staircase(self, node: _Node, point, added: int) -> bool:
-        """After point joined (added 1) or left (added -1) the leaf's items:
-        if a point at least as high lies to its right, keep the leaf's
-        staircase, move its count by added, reset its extent and say so.
-
-        _fold_points keeps a point only if it is higher than every point
-        after it, so it drops such a point; and a point dominated by a later
-        point q dominates nothing that q does not, so the other points keep
-        their fate too.
-        """
-        x, y = point
-        items = node.items
-        if not any(q[1] >= y and q[0] > x for q in items):
-            return False
-        node.count += added
-        node.xmin, node.xmax = items[0][0], items[-1][0]
-        return True
-
-    def _keeps_staircase(self, node: _Node, i: int, old, added: int) -> bool:
-        """After an update below child i that left node's child list as it
-        was: if the child, whose staircase was old, is hidden, keep node's
-        staircase, move its count by added, reset its extent and say so.
-
-        concat_sequence folds right to left, and _catenate(q, acc) returns acc
-        untouched when acc's minimum key is <= q's. So the fold, and the
-        bias that ends it, never see a child whose staircase version is
-        unchanged, nor one whose old and new staircases are each empty or
-        have a minimum key >= the least minimum key among its right siblings.
-        """
+    def _child_hidden(self, node: _Node, i: int, old) -> bool:
+        """Whether child i, whose staircase was old, leaves node's as it was:
+        its version is unchanged, or its right siblings hide its old and new
+        minima (an empty staircase has none). concat_sequence folds right to
+        left and _catenate(q, acc) returns acc untouched when acc's minimum
+        key is <= q's, so the fold, and the bias that ends it, skip it."""
         new = node.items[i].queue
-        if new is not old:
-            least = min(
-                (ch.queue.cached_min.key for ch in node.items[i + 1 :] if ch.queue.cached_min is not None),
-                default=None,
-            )
-            for q in (old, new):
-                if q.cached_min is not None and (least is None or q.cached_min.key < least):
-                    return False
-        node.count += added
-        node.xmin, node.xmax = node.items[0].xmin, node.items[-1].xmax
-        return True
+        if new is old:
+            return True
+        later = [ch.queue.cached_min.key for ch in node.items[i + 1 :] if ch.queue.cached_min is not None]
+        return _hides(later, [q.cached_min.key for q in (old, new) if q.cached_min is not None])
 
     def _rebalance_child(self, node: _Node, idx: int) -> None:
         # merge the child with a neighbour; an over-full merge splits again

@@ -3,6 +3,7 @@
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -174,6 +175,29 @@ def test_duplicate_x_rejected():
     idx = SkylineIndex([(1, 1)])
     with pytest.raises(ValueError):
         idx.insert((1, 9))
+    # a point with a live x sorts just before or just after the live point,
+    # by its y; either way the leaf is left as it was
+    pts = [(x, 10 * x % 7) for x in range(10)]
+    idx = SkylineIndex(pts, B=16, epsilon=0.5)
+    for p in ((0, -1), (4, -1), (4, 9), (9, 9)):
+        with pytest.raises(ValueError):
+            idx.insert(p)
+    assert len(idx) == 10 and idx.maxima() == naive_maxima(pts)
+
+
+def test_nan_coordinates_are_rejected_before_any_operation():
+    nan = float("nan")
+    for bad in ([(1, 5), (nan, 7), (3, 2)], [(1, nan)]):
+        with pytest.raises(ValueError):
+            SkylineIndex(bad, B=8, epsilon=0.5)
+    pts = [(1, 5), (2, 7), (3, 2), (float("-inf"), 1), (4, float("inf"))]
+    idx = SkylineIndex(pts, B=8, epsilon=0.5)
+    for bad in ((nan, 9), (5, nan), (nan, nan)):
+        with pytest.raises(ValueError):
+            idx.insert(bad)
+        assert idx.account.current_op() is None
+        assert len(idx) == 5
+        assert idx.maxima() == naive_maxima(sorted(pts)) == [(4, float("inf"))]
 
 
 def test_counters_move_under_queries():
@@ -613,9 +637,27 @@ def _catenate_then_drain(idx, lo, hi, ym):
     """query3 as the paper states it: catenate the staircases of the
     canonical pieces, with every whole node's critical records brought in,
     and drain the result below (-ym, x above all)."""
+
+    def decompose(node, pieces):
+        # canonical cover of the x-band, in x order: a whole node's queue, or
+        # the in-band points of a leaf the band cuts
+        idx._charge_node(node)
+        if node.count == 0 or node.xmax < lo or node.xmin > hi:
+            return
+        if lo <= node.xmin and node.xmax <= hi:
+            pieces.append(node.queue)
+        elif node.leaf:
+            pts = [p for p in node.items if lo <= p[0] <= hi]
+            if pts:
+                pieces.append(pts)
+        else:
+            for ch in node.items:
+                if ch.xmax is not None and ch.xmax >= lo and ch.xmin <= hi:
+                    decompose(ch, pieces)
+
     pieces = []
     with idx.account.operation():
-        idx._decompose(idx.root, lo, hi, pieces)
+        decompose(idx.root, pieces)
         if not pieces:
             return []
         queues = [idx._fold_points(p) if type(p) is list else p for p in pieces]
@@ -643,19 +685,28 @@ def test_query_walk_answers_and_charges_what_catenate_then_drain_does(
         name: lambda *a, _real=getattr(cpqa, name), _name=name: calls.append(_name) or _real(*a)
         for name in ("concat_sequence", "from_run")
     }
+    charged = []
+    charge_node = SkylineIndex._charge_node
+    monkeypatch.setattr(
+        SkylineIndex, "_charge_node", lambda self, node: charged.append(node) or charge_node(self, node)
+    )
     compared = 0
     for _ in range(200):
         lo = rng.randrange(100_000)
         hi = lo + rng.randrange(1, 40_000)
         ym = rng.choice((rng.randrange(100_000), float("-inf")))
+        charged.clear()
         before = idx.counters()
         want = _catenate_then_drain(idx, lo, hi, ym)
         mid = idx.counters()
+        want_charged = Counter(charged)
+        charged.clear()
         with monkeypatch.context() as m:
             for name, spy in spies.items():
                 m.setattr(cpqa, name, spy)
             got = idx.query3(lo, hi, ym)
         after = idx.counters()
+        assert Counter(charged) == want_charged
         assert got == naive_query3(pts, lo, hi, ym)
         if want == got:
             compared += 1
