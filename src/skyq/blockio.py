@@ -9,14 +9,15 @@ Cost model used by the queue layer:
 - A record buffer of s words costs ceil(s / B) block reads when its contents
   are inspected, unless its run is already in memory. Residency is tracked by
   the exact buffer run (backing array, start, stop), so records that share a
-  run share its residency. A run is in memory when (a) the record is
-  explicitly pinned, (b) the run belongs to the working set of an operand
-  version, or (c) the operation created or read it earlier. A version's
-  working set is fixed once, when an operation first hands the version out:
-  its focal records (first/last few records of each deque) whose runs were
-  in memory at that moment. Every queue is granted a constant number of
-  resident blocks, so M must be at least b words per simultaneously live
-  queue.
+  run share its residency. A record's run key is fixed when the record is
+  made; records are immutable, so it never goes stale. A run is in memory
+  when (a) the record is explicitly pinned, (b) the run belongs to the
+  working set of an operand version, or (c) the operation created or read it
+  earlier. A version's working set is fixed once, when an operation first
+  hands the version out: its focal records (first/last few records of each
+  deque) whose runs were in memory at that moment. Every queue is granted a
+  constant number of resident blocks, so M must be at least b words per
+  simultaneously live queue.
 - Writes are charged when a dirty buffer leaves the focal set of an
   operation's result (it is flushed to disk). Buffers shorter than b words
   are never flushed: they fit in the queue's guaranteed resident block.
@@ -33,6 +34,9 @@ charging.
 
 An account is used by one thread at a time. Its open operation, nesting
 depth, suspension count and pin table are plain attributes with no locking.
+The queue layer reads the open operation (_op) and the pin table (_pinned)
+as attributes on its hot path; current_op(), depth() and is_pinned() are
+the same reads as methods.
 Entering an operation or a suspended scope claims the account for the
 calling thread; that thread may nest further scopes, while any other thread
 that tries to enter one before the claim ends gets RuntimeError.

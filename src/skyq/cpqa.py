@@ -39,22 +39,23 @@ The first element of the first record is therefore the global minimum; every
 version caches it, which makes find_min free.
 
 Cost model. Every public operation runs in an account operation scope, and
-residency is tracked by exact buffer run: (backing, start, stop). Reading a
-record's contents charges ceil(size / B) block reads unless its run is in
-memory: the record is pinned, or the run is in an operand version's working
-set, or this operation created or read it already. Record fence keys
-(min/max), sizes and the per-version cached minimum are maintained metadata
-and free. A version's working set is fixed once, when an operation first
-hands the version out (_keep): its focal records whose runs are in memory at
-that point. Only the outermost scope seeds operand working sets; nested
-operations join it. When the outermost operation exits, held buffers
-(operand working sets and records created here) that did not stay in any
-handed-out version's working set are written back, ceil(words / B) block
-writes per backing run above its flushed watermark; buffers shorter than b
-words live in the version's guaranteed memory allowance and are never
-flushed. critical_records names the records worth pinning or bringing in
-(bring_in) and registers nothing: whoever pins a record registers it with
-the account first.
+residency is tracked by exact buffer run: (backing, start, stop), a key fixed
+when the record is made (Record.run). Reading a record's contents charges
+ceil(size / B) block reads unless its run is in memory: the record is
+pinned, or the run is in an operand version's working set, or this
+operation created or read it already. Record fence keys (min/max), sizes and
+the per-version cached minimum are maintained metadata and free. A version's
+working set is fixed once, when an operation first hands the version out
+(_keep): its focal records whose runs are in memory at that point. Only the
+outermost scope seeds operand working sets; nested operations join it. When
+the outermost operation exits, held buffers (operand working sets and
+records created here) that did not stay in any handed-out version's working
+set are written back, ceil(words / B) block writes per backing run above its
+flushed watermark; buffers shorter than b words live in the version's
+guaranteed memory allowance and are never flushed, so an operation that held
+none skips the pass. critical_records names the records worth pinning or
+bringing in (bring_in) and registers nothing: whoever pins a record
+registers it with the account first.
 """
 
 from __future__ import annotations
@@ -197,15 +198,29 @@ class _Buf:
         return _Buf.of(self.tolist() + items)
 
 
-class Record:
-    """One structural node: an increasing element run plus an optional child."""
+def _run(buf: _Buf) -> tuple[int, int, int]:
+    # Residency key, fixed when a record is made (Record.run). A record keeps
+    # its backing alive, so the id in its key cannot be reused while the
+    # record lives. Within a scope, held records and operands keep every
+    # backing alive. A backing an enclosing scope lets go of could only be
+    # reused by one made later in the scope, whose records are all created
+    # here, so their runs are in already.
+    return (id(buf.backing), buf.start, buf.stop)
 
-    __slots__ = ("buf", "child", "rid")
+
+class Record:
+    """One structural node: an increasing element run plus an optional child.
+
+    run is the buffer's residency key (_run), fixed when the record is made.
+    """
+
+    __slots__ = ("buf", "child", "rid", "run")
 
     def __init__(self, buf: _Buf, child: "Queue | None" = None):
         self.buf = buf
         self.child = child
         self.rid = _next_rid()
+        self.run = _run(buf)
 
     @property
     def size(self) -> int:
@@ -228,29 +243,21 @@ class Record:
         return "(%r..%r,n=%d,child=%s)" % (self.min_key, self.max_key, self.size, child)
 
 
-def _run(buf: _Buf) -> tuple[int, int, int]:
-    # Residency key. A backing id cannot be reused within a scope: held
-    # records and operands keep every backing alive. A backing an enclosing
-    # scope lets go of could only be reused by one made later in the scope,
-    # whose records are all created here, so their runs are in already.
-    return (id(buf.backing), buf.start, buf.stop)
-
-
 def _new_record(account: IoAccount, buf: _Buf, child: "Queue | None" = None) -> Record:
     rec = Record(buf, child)
-    scope = account.current_op()
+    scope = account._op
     if scope is not None:
         scope.held[rec.rid] = rec
-        scope.runs.add(_run(buf))
+        scope.runs.add(rec.run)
     return rec
 
 
 def _load(account: IoAccount, rec: Record) -> None:
     """Bring a record's contents into memory for this operation."""
-    scope = account.current_op()
+    scope = account._op
     if scope is None:
         return
-    run = _run(rec.buf)
+    run = rec.run
     if run not in scope.runs:
         scope.runs.add(run)
         if not account.is_pinned(rec.rid):
@@ -262,31 +269,37 @@ def _load(account: IoAccount, rec: Record) -> None:
 
 def _focal_records(Q: Queue) -> tuple[Record, ...]:
     # The records any single operation may need: both ends of C plus its
-    # second record, the head of Bq, and the ends of the dirty fringe.
+    # second record, the head of Bq, and the ends of the dirty fringe (the
+    # last two records of D_k, or D_k's one record and the last of D_k-1).
+    # Distinct positions hold distinct records (validate checks), so a
+    # record repeats only where two positions coincide; those are skipped.
     C, Bq, D = Q.C, Q.Bq, Q.D
     out: list[Record] = []
-    if C:
+    n = len(C)
+    if n:
         out.append(C.first())
-        if len(C) > 1:
+        if n > 1:
             out.append(C.get(1))
-            out.append(C.last())
+            if n > 2:
+                out.append(C.last())
     if Bq:
         out.append(Bq.first())
     if D:
-        dk = D[-1]
-        out.append(D[0].first())
-        out.append(dk.last())
-        if len(dk) > 1:
-            out.append(dk.get(len(dk) - 2))
-        elif len(D) > 1:
-            out.append(D[-2].last())
-    seen: set[int] = set()
-    uniq: list[Record] = []
-    for rec in out:
-        if rec.rid not in seen:
-            seen.add(rec.rid)
-            uniq.append(rec)
-    return tuple(uniq)
+        d1, dk = D[0], D[-1]
+        out.append(d1.first())
+        n = len(dk)
+        if len(D) == 1:
+            if n > 1:
+                out.append(dk.last())
+                if n > 2:
+                    out.append(dk.get(n - 2))
+        else:
+            out.append(dk.last())
+            if n > 1:
+                out.append(dk.get(n - 2))
+            elif len(D) > 2 or len(d1) > 1:
+                out.append(D[-2].last())
+    return tuple(out)
 
 
 class Queue:
@@ -330,7 +343,8 @@ class _op:
 
     Only the outermost scope seeds; nested operations join it. On exit the
     outermost scope writes back first and then leaves the account's
-    operation, also when the body raised.
+    operation, also when the body raised. scope is the account's operation
+    scope in the outermost _op and None in a nested one.
     """
 
     __slots__ = ("account", "operands", "outer", "scope")
@@ -339,21 +353,24 @@ class _op:
         self.account = account
         self.operands = operands
 
-    def __enter__(self):
+    def __enter__(self) -> None:
         account = self.account
+        outermost = account._op is None
         self.outer = account.operation()
-        scope = self.scope = self.outer.__enter__()
-        if account.depth() == 1:
+        scope = self.outer.__enter__()
+        if outermost:
             runs, held = scope.runs, scope.held
             for q in self.operands:
                 for rec in q.resident:
-                    runs.add(_run(rec.buf))
+                    runs.add(rec.run)
                     held.setdefault(rec.rid, rec)
-        return scope
+            self.scope = scope
+        else:
+            self.scope = None
 
     def __exit__(self, *exc) -> None:
         try:
-            if self.account.depth() == 1:
+            if self.scope is not None:
                 _writeback(self.account, self.scope)
         finally:
             self.outer.__exit__(*exc)
@@ -364,40 +381,42 @@ def _keep(account: IoAccount, Q: Queue) -> Queue:
 
     The first hand-out fixes Q's working set; a version kept again keeps it.
     """
-    scope = account.current_op()
+    scope = account._op
     if Q.focal is None:
-        Q.focal = _focal_records(Q)
         runs = scope.runs
-        Q.resident = tuple(rec for rec in Q.focal if _run(rec.buf) in runs)
+        Q.focal = focal = _focal_records(Q)
+        Q.resident = tuple([rec for rec in focal if rec.run in runs])
     scope.kept.append(Q)
     return Q
 
 
 def _writeback(account: IoAccount, scope) -> None:
+    # Only buffers of at least b words are ever flushed; when the operation
+    # held none, the handed-out working sets need not be looked at. cover
+    # maps each backing to the furthest stop of a run that stays resident in
+    # a handed-out working set, so it also covers those runs' own records.
     b = account.cfg.b
-    protected: set[int] = set()
+    flush = [rec for rec in scope.held.values() if rec.buf.stop - rec.buf.start >= b]
+    if not flush:
+        return
     cover: dict[int, int] = {}
     for q in scope.kept:
         for rec in q.resident:
-            protected.add(rec.rid)
-            bid = id(rec.buf.backing)
-            if cover.get(bid, -1) < rec.buf.stop:
-                cover[bid] = rec.buf.stop
-    for rid, rec in scope.held.items():
-        if rid in protected or account.is_pinned(rid):
-            continue
-        buf = rec.buf
-        if len(buf) < b:
-            continue
-        if cover.get(id(buf.backing), -1) >= buf.stop:
-            continue  # a longer view of the same run stays resident
-        backing = buf.backing
+            bid, _, stop = rec.run
+            if cover.get(bid, -1) < stop:
+                cover[bid] = stop
+    pinned = account._pinned
+    for rec in flush:
+        bid, start, stop = rec.run
+        if cover.get(bid, -1) >= stop or rec.rid in pinned:
+            continue  # pinned, or a run as long on its backing stays resident
+        backing = rec.buf.backing
         lo = backing.flushed
-        if buf.start > lo:
-            lo = buf.start
-        words = buf.stop - lo
+        if start > lo:
+            lo = start
+        words = stop - lo
         if words > 0:
-            backing.flushed = buf.stop
+            backing.flushed = stop
             account.charge_write_words(words)
 
 
@@ -480,9 +499,9 @@ def bring_in(Q: Queue) -> None:
     charging nothing: the caller prices them (the index charges a node's
     critical records when it fetches the node). A no-op outside an
     operation, as _load is."""
-    scope = Q.account.current_op()
+    scope = Q.account._op
     if scope is not None:
-        scope.runs.update(_run(rec.buf) for rec in critical_records(Q))
+        scope.runs.update([rec.run for rec in critical_records(Q)])
 
 
 # -- attrition surgery helpers ----------------------------------------------
@@ -798,7 +817,7 @@ def drain(Q: Queue, *, below=None) -> list[Element]:
     level it pops with delete_min: each pop is an operation of its own, with
     its own write-back.
     """
-    if Q.account.current_op() is not None:
+    if Q.account._op is not None:
         return _live(Q, below, _load)
     out: list[Element] = []
     while Q.cached_min is not None and (below is None or Q.cached_min.key < below):
@@ -1104,6 +1123,8 @@ def _validate_one(q: Queue, b: int) -> list[str]:
         bad.append("shape: empty dirty deque")
         return bad
     dirty_min = front = None
+    rids: set[int] = set()
+    twice = False
     names = ["C", "B"] + ["D%d" % (i + 1) for i in range(len(D))]
     for name, dq in zip(names, (C, Bq, *D)):
         if not dq:
@@ -1112,6 +1133,9 @@ def _validate_one(q: Queue, b: int) -> list[str]:
         empty = disorder = oversize = carries = False
         prev = None
         for rec in dq:
+            if rec.rid in rids:
+                twice = True
+            rids.add(rec.rid)
             if not rec.size:
                 empty = True
             else:
@@ -1143,6 +1167,9 @@ def _validate_one(q: Queue, b: int) -> list[str]:
         if carries and not dirty:
             kind = "clean" if name == "C" else "buffered"
             bad.append("child-placement: %s record carries a child" % kind)
+    if twice:
+        # the focal set is deduplicated by position (_focal_records)
+        bad.append("shape: record appears twice")
     if C:
         tail = C.last()
         if Bq and not (tail.size and Bq.first().size and tail.max_key < Bq.first().min_key):

@@ -79,12 +79,22 @@ def skyline_key(point) -> tuple:
 
 class _AboveAll:
     """Compares above every x key: (-y_min, _ABOVE_ALL) bounds exactly the
-    keys (-y, -x) with y >= y_min, x = -inf included."""
+    keys (-y, -x) with y >= y_min, x = -inf included. The ordering is
+    complete, so the bound may stand on either side of any comparison."""
 
     __slots__ = ()
 
     def __gt__(self, other) -> bool:
         return True
+
+    def __ge__(self, other) -> bool:
+        return True
+
+    def __lt__(self, other) -> bool:
+        return False
+
+    def __le__(self, other) -> bool:
+        return False
 
 
 _ABOVE_ALL = _AboveAll()

@@ -6,7 +6,8 @@ above the source slot's tail, a few dip below it, and the rest of the
 operations are catenates and delete_min. At b=4 it reaches every structural
 path of cpqa, _bias_dirty_pair included. Its totals pin the cost model:
 charging residency by record id instead of by buffer run changes the (16, 4)
-figures.
+figures. A digest of its per-op charges pins where each charge falls, and
+the stream also checks the focal records against their first formulation.
 
 Answers are not compared with the oracle: a known fault in _bias_buffer
 (a multi-record buffer deque whose head is prepended onto the first dirty
@@ -14,6 +15,7 @@ record attrites live elements behind it) makes drift streams diverge from
 the reference. validate still holds after every operation.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -85,10 +87,14 @@ def drift_stream(seed, count, warm=60, dip=0.08, cat=0.35, dmin=0.2):
     return ops
 
 
-def run_stream(B, b, ops):
+def run_stream(B, b, ops, trail=None):
+    """Total reads, writes and the largest operation's blocks; each op's
+    (reads, writes, last_op_blocks) goes to trail when one is given."""
     acct = IoAccount(IoConfig(B, 4096 * B, b))
+    counters = acct.counters
     qs = [cpqa.empty(acct)] * POOL
     for op in ops:
+        r0, w0 = counters.reads, counters.writes
         dst = op[1]
         if op[0] == "insert":
             qs[dst] = cpqa.insert_and_attrite(qs[op[2]], op[3])
@@ -96,6 +102,8 @@ def run_stream(B, b, ops):
             qs[dst] = cpqa.catenate_and_attrite(qs[op[2]], qs[op[3]])
         elif qs[op[2]].cached_min is not None:  # the fault can empty a slot early
             qs[dst] = cpqa.delete_min(qs[op[2]])[1]
+        if trail is not None:
+            trail.append((counters.reads - r0, counters.writes - w0, acct.last_op_blocks))
         assert cpqa.validate(qs[dst]) == [], op
     return acct.counters.reads, acct.counters.writes, acct.max_op_blocks
 
@@ -116,6 +124,79 @@ def test_drift_stream_fingerprint_and_path_census(monkeypatch, B, b, want):
         monkeypatch.setattr(cpqa, name, spy)
     assert run_stream(B, b, drift_stream(35, 2000)) == want
     assert seen == set(PATHS)
+
+
+# Equal totals can hide charges moved between operations; the digest of the
+# per-op sequence cannot.
+@pytest.mark.parametrize(
+    "B, b, want",
+    [(64, 16, "c9636cbf149db28e"), (16, 4, "99b360373df7116e")],
+)
+def test_drift_stream_per_op_charges(B, b, want):
+    trail = []
+    run_stream(B, b, drift_stream(35, 2000), trail)
+    assert len(trail) == 2000
+    assert hashlib.sha256(repr(trail).encode()).hexdigest()[:16] == want
+
+
+def focal_reference(Q):
+    """The focal records as first written: collect with repeats, then drop
+    each record seen before."""
+    C, Bq, D = Q.C, Q.Bq, Q.D
+    out = []
+    if C:
+        out.append(C.first())
+        if len(C) > 1:
+            out.append(C.get(1))
+            out.append(C.last())
+    if Bq:
+        out.append(Bq.first())
+    if D:
+        dk = D[-1]
+        out.append(D[0].first())
+        out.append(dk.last())
+        if len(dk) > 1:
+            out.append(dk.get(len(dk) - 2))
+        elif len(D) > 1:
+            out.append(D[-2].last())
+    seen = set()
+    uniq = []
+    for rec in out:
+        if rec.rid not in seen:
+            seen.add(rec.rid)
+            uniq.append(rec)
+    return uniq
+
+
+def test_focal_records_match_the_reference(monkeypatch):
+    kept = []
+    keep = cpqa._keep
+    monkeypatch.setattr(cpqa, "_keep", lambda account, q: kept.append(q) or keep(account, q))
+    for B, b in [(8, 1), (8, 2), (8, 3), (16, 4), (32, 6), (64, 16)]:
+        for seed in (1, 2, 3):
+            run_stream(B, b, drift_stream(seed, 2000))
+    # every version handed out, and every version reachable from one
+    seen = set()
+    repeats = set()
+    stack = kept
+    while stack:
+        q = stack.pop()
+        if q.qid in seen:
+            continue
+        seen.add(q.qid)
+        want = [rec.rid for rec in focal_reference(q)]
+        assert [rec.rid for rec in cpqa._focal_records(q)] == want, cpqa.dump(q)
+        # the shapes in which one record fills two focal positions
+        D = q.D
+        if len(q.C) == 2:
+            repeats.add("C")
+        if len(D) == 1 and len(D[0]) <= 2:
+            repeats.add("one dirty deque")
+        if len(D) == 2 and len(D[0]) == 1 and len(D[1]) == 1:
+            repeats.add("D[-2] is D[0]")
+        stack.extend(rec.child for dq in (q.C, q.Bq, *D) for rec in dq if rec.child is not None)
+    assert len(seen) > 40_000
+    assert repeats == {"C", "one dirty deque", "D[-2] is D[0]"}
 
 
 def skyline_run_reads(B, epsilon):

@@ -486,6 +486,13 @@ def version(acct, C=(), Bq=(), D=(), low=None):
     )
 
 
+def shared_record(acct):
+    """A version whose one record sits both in Bq and in D; every order
+    check holds."""
+    r = rec(acct, [5, 6, 7, 8])
+    return version(acct, C=[rec(acct, [1, 2])], Bq=[r], D=[[r]], low=1)
+
+
 # One hand-built bad version per message validate can emit: each builder
 # takes an account (b=4) and returns the version and the messages it must get.
 VALIDATE_CASES = {
@@ -501,6 +508,7 @@ VALIDATE_CASES = {
         version(a, C=[rec(a, [1, 2])], D=[[]], low=1),
         ["shape: empty dirty deque"],
     ),
+    "shape-record-twice": lambda a: (shared_record(a), ["shape: record appears twice"]),
     "buffer-empty": lambda a: (
         version(a, C=[rec(a, [1, 2]), rec(a, [])], low=1),
         [

@@ -19,6 +19,19 @@ def test_key_orders_by_descending_y_breaking_ties_right():
     assert sorted([(1, 5), (2, 3), (3, 8)], key=skyline_key) == [(3, 8), (1, 5), (2, 3)]
 
 
+@pytest.mark.parametrize("x", [-float("inf"), -3, 0, 2.5, 7, float("inf")])
+def test_query_bound_orders_above_its_height_from_either_side(x):
+    # a tying y leaves the comparison to the x parts, the bound's on one side
+    bound = (-5, _ABOVE_ALL)
+    key = skyline_key((x, 5))
+    assert key < bound and key <= bound and not key > bound and not key >= bound
+    assert bound > key and bound >= key and not bound < key and not bound <= key
+    # a point one lower lies above the bound, whatever its x
+    low = skyline_key((x, 4))
+    assert bound < low and bound <= low and not bound > low and not bound >= low
+    assert low > bound and low >= bound and not low < bound and not low <= bound
+
+
 def test_equal_heights_keep_only_rightmost():
     pts = [(1, 7), (3, 7), (5, 7)]
     idx = SkylineIndex(pts)
