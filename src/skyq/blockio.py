@@ -214,6 +214,14 @@ class IoAccount:
             self._op.blocks += n
         return n
 
+    def charge_read_blocks(self, n: int) -> None:
+        """Charge n block reads, already counted in blocks."""
+        if self._suspend:
+            return
+        self.counters.reads += n
+        if self._op is not None:
+            self._op.blocks += n
+
     def charge_write_words(self, words: int) -> int:
         if self._suspend or words <= 0:
             return 0

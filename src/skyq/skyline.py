@@ -11,20 +11,25 @@ point after it, into one record (cpqa.from_run). An internal node's
 staircase is the attriting catenation of its children's staircases, which
 the queues fold in O(1) block transfers per node.
 
-An update fetches every node on its leaf-to-root path and keeps each one's
-count and extent, but refolds staircases only where they can change. One
-hiding rule (_hides) says where: a key is hidden by the keys after it when
-it is not below one of them, and an attriting catenation then drops it. A
-point gained or lost that the points to its right in its leaf hide is on no
-staircase and dominates nothing its hider does not, so the leaf keeps its
-queue version (unless it splits or merges), and so does every node above
-it. Otherwise the update refolds up to the first ancestor whose changed
-child has its old and new minima hidden by its right siblings' staircases:
-the fold attrites that child wholly, so the ancestor and every node above
-it keep their versions. A node over capacity splits in half, the halves
-refreshed right first. A node left with fewer than max(1, capacity // 4)
-items merges with a neighbour, and splits again if the merged list is over
-capacity. A split or a merge always refolds the parent.
+An update is one walk down to its leaf (_path), charged once, and one loop
+back up that keeps each path node's count and extent but refolds
+staircases only where they can change. One hiding rule (_hides) says where:
+a key is hidden by the keys after it when it is not below one of them, and
+an attriting catenation then drops it. A point gained or lost that the
+points to its right in its leaf hide is on no staircase and dominates
+nothing its hider does not, so the leaf keeps its queue version (unless it
+splits or merges), and so does every node above it. Otherwise the update
+refolds up to the first ancestor whose changed child has its old and new
+minima hidden by its right siblings' staircases: the fold attrites that
+child wholly, so the ancestor and every node above it keep their versions.
+A refold folds only the children that rule leaves visible. A node over
+capacity splits in half, the halves refreshed right first. A node left with
+fewer than max(1, capacity // 4) items merges with a neighbour, and splits
+again if the merged list is over capacity. A split or a merge always
+refolds the parent. The bulk build can leave a node under that threshold
+(its stray-group rule catches only a last group of one child), so a delete
+tests every path node for underflow: the first delete routed through such a
+node merges it, even one that keeps every staircase.
 
 A 3-sided query (x in [lo, hi], y >= ymin) is one right-to-left descent to
 the band's O(log n) canonical pieces along its two boundary paths: whole
@@ -43,14 +48,16 @@ over the root's whole extent with ymin = -inf.
 Coordinates must not be NaN, and x must be distinct across the live set.
 
 Block accounting: fetching a node costs one block for its routing data plus
-ceil(words / B) for the staircase records an operation may touch (its queue's
-critical records). The critical records of a version are fixed when it is
-handed out, so each node keeps their word count (words) beside its queue
-version, set whenever the version is. A query that drains a node's
-staircase, or a refold that folds it, first brings those records into its
-operation's memory (cpqa.bring_in), where they stay until the operation
-ends. A query has fetched every node it drains; a refold has fetched the
-child on the update's path, and its siblings' records are charged nothing.
+ceil(w / B) for the w words of staircase records an operation may touch (its
+queue's critical records). The critical records of a version are fixed when
+it is handed out, so each node keeps that fetch price (price) beside its
+queue version, set whenever the version is. A query charges each node it
+visits; an update adds up its path's prices before it changes anything and
+charges the sum once. A query that drains a node's staircase, or a refold
+that folds it, first brings those records into its operation's memory
+(cpqa.bring_in), where they stay until the operation ends. A query has
+fetched every node it drains; a refold has fetched the child on the update's
+path, and its siblings' records are charged nothing.
 The queue machinery itself then reads nothing cold, with one measured
 exception: bias inside concat_sequence can load Bq records that no child
 lists among its critical records. That happens on anti-correlated points
@@ -60,6 +67,7 @@ only, never on uniform ones.
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import attrgetter
 
 from . import cpqa
 from .blockio import IoAccount, IoConfig, IoCounters
@@ -98,6 +106,7 @@ class _AboveAll:
 
 
 _ABOVE_ALL = _AboveAll()
+_XMAX = attrgetter("xmax")
 
 
 def _hides(later, keys) -> bool:
@@ -131,13 +140,13 @@ class _Node:
     """A leaf's points or an internal node's children, in x order, and the
     staircase and extent they make up."""
 
-    __slots__ = ("leaf", "items", "queue", "words", "xmin", "xmax", "count")
+    __slots__ = ("leaf", "items", "queue", "price", "xmin", "xmax", "count")
 
     def __init__(self, leaf: bool, items: list):
         self.leaf = leaf
         self.items = items
         self.queue = None
-        self.words = 0
+        self.price = 0
         self.xmin = None
         self.xmax = None
         self.count = 0
@@ -154,6 +163,10 @@ class SkylineIndex:
 
     def __init__(self, points=(), *, B: int = 64, epsilon: float = 1 / 3):
         self.fanout, self.b = _derive_params(B, epsilon)
+        # by node.leaf, internal first: the most items a node may hold, and
+        # the fewest it holds without underflowing
+        self._capacity = (2 * self.fanout, self.b)
+        self._floor = tuple(max(1, c // 4) for c in self._capacity)
         self.account = IoAccount(IoConfig(B, 4096 * B, self.b))
         self.B = B
         self.root: _Node | None = None
@@ -170,13 +183,9 @@ class SkylineIndex:
         return self.root.count if self.root else 0
 
     def __contains__(self, point) -> bool:
-        node = self.root
-        if node is None:
+        if self.root is None:
             return False
-        x = point[0]
-        while not node.leaf:
-            _, node = self._child_for(node, x)
-        return point in node.items
+        return point in self._path(point[0])[0][-1].items
 
     def counters(self) -> IoCounters:
         return self.account.snapshot()
@@ -234,38 +243,90 @@ class SkylineIndex:
             if self.root is None:
                 self.root = self._node(True, [point])
                 return
-            split = self._insert_rec(self.root, point)
-            if split is not None:
-                self.root = self._node(False, [self.root, split])
+            nodes, route = self._path(point[0])
+            self.account.charge_read_blocks(sum([n.price for n in nodes]))
+            k = len(nodes) - 1
+            node = nodes[k]
+            items = node.items
+            j = bisect_left(items, point)
+            if (j < len(items) and items[j][0] == point[0]) or (j and items[j - 1][0] == point[0]):
+                raise ValueError("duplicate x coordinate: %r" % (point[0],))
+            items.insert(j, point)
+            keep = len(items) <= self.b and _hides(map(skyline_key, items[j + 1 :]), (skyline_key(point),))
+            while not keep:
+                old = node.queue
+                split = self._refresh_or_split(node)
+                if k == 0:
+                    if split is not None:
+                        self.root = self._node(False, [node, split])
+                    return
+                k -= 1
+                node, i = nodes[k], route[k]
+                if split is not None:
+                    node.items.insert(i + 1, split)
+                keep = split is None and self._child_hidden(node, i, old)
+            # node keeps its staircase, and so does every node above it
+            for node in nodes[k::-1]:
+                self._recount(node, node.count + 1)
 
     def delete(self, point) -> bool:
         point = (point[0], point[1])
         if self.root is None:
             return False
         with self.account.operation():
-            removed = self._delete_rec(self.root, point)
-            if removed:
-                if self.root.count == 0:
-                    self.root = None
-                else:
-                    while not self.root.leaf and len(self.root.items) == 1:
-                        self.root = self.root.items[0]
-        return removed
+            nodes, route = self._path(point[0])
+            self.account.charge_read_blocks(sum([n.price for n in nodes]))
+            items = nodes[-1].items
+            j = bisect_left(items, point)
+            if j == len(items) or items[j] != point:
+                return False
+            del items[j]
+            keep = _hides(map(skyline_key, items[j:]), (skyline_key(point),))
+            for k in range(len(nodes) - 1, -1, -1):
+                node = nodes[k]
+                old = node.queue
+                # a node that underflows and has a sibling is merged by its
+                # parent, which refreshes the merged node, so it is not
+                # refreshed here
+                merge = k > 0 and len(nodes[k - 1].items) > 1 and len(node.items) < self._floor[node.leaf]
+                if keep:
+                    self._recount(node, node.count - 1)
+                elif not merge:
+                    self._refresh(node)
+                if merge:
+                    self._rebalance_child(nodes[k - 1], route[k - 1])
+                    keep = False
+                elif k and not keep:
+                    keep = self._child_hidden(nodes[k - 1], route[k - 1], old)
+            if self.root.count == 0:
+                self.root = None
+            else:
+                while not self.root.leaf and len(self.root.items) == 1:
+                    self.root = self.root.items[0]
+        return True
 
     # -- node maintenance ----------------------------------------------------------
 
     def _child_for(self, node: _Node, x) -> "tuple[int, _Node]":
-        """The index and the child whose x range routes x."""
+        """The index and the child whose x range routes x: the first whose
+        xmax is at least x, or the last."""
         items = node.items
-        last = len(items) - 1
-        for i in range(last):
-            if x <= items[i].xmax:
-                return i, items[i]
-        return last, items[last]
+        i = bisect_left(items, x, 0, len(items) - 1, key=_XMAX)
+        return i, items[i]
+
+    def _path(self, x) -> "tuple[list[_Node], list[int]]":
+        """The nodes from the root to the leaf that routes x, and the index
+        of each internal one's child on the way."""
+        node = self.root
+        nodes, route = [node], []
+        while not node.leaf:
+            i, node = self._child_for(node, x)
+            nodes.append(node)
+            route.append(i)
+        return nodes, route
 
     def _charge_node(self, node: _Node) -> None:
-        # routing data plus the staircase records an operation may touch
-        self.account.charge_read_words(self.B + node.words)
+        self.account.charge_read_blocks(node.price)
 
     def _fold_points(self, pts):
         # the staircase of points in x order: right to left, a point survives
@@ -277,9 +338,6 @@ class SkylineIndex:
         keep.reverse()
         return cpqa.from_run(self.account, keep)
 
-    def _capacity(self, node: _Node) -> int:
-        return self.b if node.leaf else 2 * self.fanout
-
     def _node(self, leaf: bool, items: list) -> _Node:
         node = _Node(leaf, items)
         self._refresh(node)
@@ -289,18 +347,26 @@ class SkylineIndex:
         """Rebuild the node's staircase, count and extent from its items.
 
         Updates call it where a staircase may change (see _hides); every
-        other node on the path only recounts. The fold first brings every
-        child's critical records into the operation's memory, uncharged. It
-        sets words with the queue: the critical records' word count that
-        _charge_node charges.
+        other node on the path only recounts. The fold takes only the
+        children whose minimum is below every right sibling's: the right to
+        left fold's _catenate(q, acc) returns acc untouched for any other.
+        It first brings their critical records into the operation's memory,
+        uncharged. It sets price with the queue: the node's fetch price.
         """
         items = node.items
         if node.leaf:
             q = self._fold_points(items)
             count = len(items)
         else:
-            queues = [ch.queue for ch in items if ch.queue.cached_min is not None]
+            queues = []
+            low = None
+            for ch in reversed(items):
+                m = ch.queue.cached_min
+                if m is not None and (low is None or m.key < low):
+                    low = m.key
+                    queues.append(ch.queue)
             if queues:
+                queues.reverse()
                 for q in queues:
                     cpqa.bring_in(q)
                 q = cpqa.concat_sequence(queues)
@@ -308,7 +374,7 @@ class SkylineIndex:
                 q = cpqa.empty(self.account)
             count = sum(ch.count for ch in items)
         node.queue = q
-        node.words = sum(r.size for r in cpqa.critical_records(q))
+        node.price = 1 + -(-sum(r.size for r in cpqa.critical_records(q)) // self.B)
         self._recount(node, count)
 
     def _recount(self, node: _Node, count: int) -> None:
@@ -325,7 +391,7 @@ class SkylineIndex:
         """Refresh the node, or split it in half when it is over capacity and
         return the new right half."""
         items = node.items
-        if len(items) <= self._capacity(node):
+        if len(items) <= self._capacity[node.leaf]:
             self._refresh(node)
             return None
         half = len(items) // 2
@@ -350,58 +416,6 @@ class SkylineIndex:
                     nxt.append(self._node(False, group))
                 level = nxt
             self.root = level[0]
-
-    def _insert_rec(self, node: _Node, point) -> "_Node | None":
-        self._charge_node(node)
-        items = node.items
-        if node.leaf:
-            j = bisect_left(items, point)
-            if any(p[0] == point[0] for p in items[max(j - 1, 0) : j + 1]):
-                raise ValueError("duplicate x coordinate: %r" % (point[0],))
-            items.insert(j, point)
-            keep = len(items) <= self.b and _hides(map(skyline_key, items[j + 1 :]), (skyline_key(point),))
-        else:
-            i, ch = self._child_for(node, point[0])
-            old = ch.queue
-            split = self._insert_rec(ch, point)
-            if split is not None:
-                items.insert(i + 1, split)
-            keep = split is None and self._child_hidden(node, i, old)
-        if keep:
-            self._recount(node, node.count + 1)
-            return None
-        return self._refresh_or_split(node)
-
-    def _delete_rec(self, node: _Node, point, has_sibling: bool = False) -> bool:
-        # a node that underflows and has a sibling is merged by its parent,
-        # which refreshes the merged node, so it is not refreshed here
-        self._charge_node(node)
-        items = node.items
-        if node.leaf:
-            j = bisect_left(items, point)
-            if j == len(items) or items[j] != point:
-                return False
-            del items[j]
-            keep = _hides(map(skyline_key, items[j:]), (skyline_key(point),))
-        else:
-            i, ch = self._child_for(node, point[0])
-            old = ch.queue
-            many = len(items) > 1
-            if not self._delete_rec(ch, point, many):
-                return False
-            if many and self._underflows(ch):
-                self._rebalance_child(node, i)
-                keep = False
-            else:
-                keep = self._child_hidden(node, i, old)
-        if keep:
-            self._recount(node, node.count - 1)
-        elif not (has_sibling and self._underflows(node)):
-            self._refresh(node)
-        return True
-
-    def _underflows(self, node: _Node) -> bool:
-        return len(node.items) < max(1, self._capacity(node) // 4)
 
     def _child_hidden(self, node: _Node, i: int, old) -> bool:
         """Whether child i, whose staircase was old, leaves node's as it was:

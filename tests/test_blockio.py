@@ -53,6 +53,17 @@ def test_suspended_charges_are_free():
     assert a.counters.writes == 0
 
 
+def test_block_charges_join_the_operation_unless_suspended():
+    a = IoAccount(IoConfig(B=64, M=4096, b=16))
+    with a.operation():
+        a.charge_read_blocks(3)
+        a.charge_read_words(64)
+        with a.suspended():
+            a.charge_read_blocks(10)
+    assert a.counters.reads == 4
+    assert a.last_op_blocks == 4
+
+
 def test_pin_tracking_and_peak():
     a = IoAccount(IoConfig(B=64, M=1024, b=16))
     a.register(1, 100)

@@ -199,17 +199,30 @@ def test_focal_records_match_the_reference(monkeypatch):
     assert repeats == {"C", "one dirty deque", "D[-2] is D[0]"}
 
 
-def skyline_run_reads(B, epsilon):
-    """Reads of a 3,000-point build followed by 40 insert/delete/query3 rounds."""
+def _traced(idx, trail, call):
+    """Run one index operation; its (reads, writes, last_op_blocks) goes to
+    trail when one is given."""
+    counters = idx.account.counters
+    r0, w0 = counters.reads, counters.writes
+    out = call()
+    if trail is not None:
+        trail.append((counters.reads - r0, counters.writes - w0, idx.account.last_op_blocks))
+    return out
+
+
+def skyline_run_reads(B, epsilon, trail=None):
+    """Reads of a 3,000-point build followed by 40 insert/delete/query3
+    rounds; each operation's charges go to trail when one is given."""
     rng = random.Random(5)
     xs = rng.sample(range(30_000), 3040)
     ys = rng.sample(range(30_000), 3040)
     idx = SkylineIndex(list(zip(xs[:3000], ys[:3000])), B=B, epsilon=epsilon)
     for i in range(40):
-        idx.insert((xs[3000 + i], ys[3000 + i]))
-        idx.delete((xs[i], ys[i]))
+        _traced(idx, trail, lambda: idx.insert((xs[3000 + i], ys[3000 + i])))
+        _traced(idx, trail, lambda: idx.delete((xs[i], ys[i])))
         lo = rng.randrange(30_000)
-        idx.query3(lo, lo + 2000, rng.randrange(30_000))
+        ym = rng.randrange(30_000)
+        _traced(idx, trail, lambda: idx.query3(lo, lo + 2000, ym))
     return idx.account.counters.reads
 
 
@@ -224,10 +237,11 @@ def test_skyline_run_reads_at_more_block_sizes(B, epsilon, want):
     assert skyline_run_reads(B, epsilon) == want
 
 
-def anticorrelated_run(B, epsilon):
+def anticorrelated_run(B, epsilon, trail=None):
     """A 3,000-point build whose heights fall with x (noise up to 100), then
-    40 insert/delete/query3 rounds. Returns the reads, and whether every
-    answer and the final maxima() matched the oracle."""
+    40 insert/delete/query3 rounds and maxima(); each operation's charges go
+    to trail when one is given. Returns the reads, and whether every answer
+    and the final maxima() matched the oracle."""
     rng = random.Random(5)
     xs = rng.sample(range(30_000), 3040)
     pts = [(x, 30_000 - x + rng.randrange(-100, 101)) for x in xs]
@@ -235,14 +249,15 @@ def anticorrelated_run(B, epsilon):
     idx = SkylineIndex(pts[:3000], B=B, epsilon=epsilon)
     right = True
     for i in range(40):
-        idx.insert(pts[3000 + i])
+        _traced(idx, trail, lambda: idx.insert(pts[3000 + i]))
         live.add(pts[3000 + i])
-        idx.delete(pts[i])
+        _traced(idx, trail, lambda: idx.delete(pts[i]))
         live.discard(pts[i])
         lo = rng.randrange(30_000)
         ym = 30_000 - lo - rng.randrange(2500)
-        right &= idx.query3(lo, lo + 2000, ym) == oracle.naive_query3(sorted(live), lo, lo + 2000, ym)
-    right &= idx.maxima() == oracle.naive_maxima(sorted(live))
+        got = _traced(idx, trail, lambda: idx.query3(lo, lo + 2000, ym))
+        right &= got == oracle.naive_query3(sorted(live), lo, lo + 2000, ym)
+    right &= _traced(idx, trail, idx.maxima) == oracle.naive_maxima(sorted(live))
     return idx.account.counters.reads, right
 
 
@@ -254,3 +269,19 @@ def test_skyline_run_reads_anticorrelated(monkeypatch):
     monkeypatch.setattr(cpqa, "bias", lambda q: calls.append(q) or bias(q))
     assert anticorrelated_run(64, 1 / 3) == (2109, True)
     assert calls
+
+
+# The totals above can hide charges moved between an update and the query
+# after it; these digests of the per-op sequence cannot.
+def test_skyline_run_per_op_charges():
+    trail = []
+    skyline_run_reads(64, 1 / 3, trail)
+    assert len(trail) == 120
+    assert hashlib.sha256(repr(trail).encode()).hexdigest()[:16] == "a6cabf58594b4a1c"
+
+
+def test_anticorrelated_run_per_op_charges():
+    trail = []
+    anticorrelated_run(16, 1 / 2, trail)
+    assert len(trail) == 121
+    assert hashlib.sha256(repr(trail).encode()).hexdigest()[:16] == "b4fed1755cf8cb72"

@@ -343,7 +343,7 @@ def _check_subtree(idx, node):
     assert (node.xmin, node.xmax) == ((pts[0][0], pts[-1][0]) if pts else (None, None))
     with idx.account.suspended():
         assert [el.payload for el in cpqa.drain(node.queue)] == naive_maxima(pts)
-    assert node.words == sum(r.size for r in cpqa.critical_records(node.queue))
+    assert node.price == 1 + -(-sum(r.size for r in cpqa.critical_records(node.queue)) // idx.B)
     return pts
 
 
@@ -353,11 +353,11 @@ def _check_subtree(idx, node):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_dense_run_then_sweep_reaches_every_split_and_rebalance(monkeypatch, seed):
     seen = set()
-    insert_rec = SkylineIndex._insert_rec
+    refresh_or_split = SkylineIndex._refresh_or_split
     rebalance_child = SkylineIndex._rebalance_child
 
-    def split_spy(self, node, point):
-        right = insert_rec(self, node, point)
+    def split_spy(self, node):
+        right = refresh_or_split(self, node)
         if right is not None:
             seen.add("leaf split" if node.leaf else "internal split")
         return right
@@ -368,7 +368,7 @@ def test_dense_run_then_sweep_reaches_every_split_and_rebalance(monkeypatch, see
         outcome = "merge" if len(node.items) < before else "redistribute"
         seen.add(("leaf " if child.leaf else "internal ") + outcome)
 
-    monkeypatch.setattr(SkylineIndex, "_insert_rec", split_spy)
+    monkeypatch.setattr(SkylineIndex, "_refresh_or_split", split_spy)
     monkeypatch.setattr(SkylineIndex, "_rebalance_child", rebalance_spy)
     rng = random.Random(seed)
     live = {x: (x, rng.randrange(1000)) for x in range(0, 200, 10)}
@@ -644,6 +644,25 @@ def test_underflowing_leaf_is_refreshed_only_by_its_merge(monkeypatch):
     live = pts[:16] + pts[29:]
     _check_subtree(idx, idx.root)
     assert idx.maxima() == naive_maxima(live)
+
+
+def test_first_delete_through_a_bulk_built_underflow_merges_it():
+    # 19 leaves in groups of fanout 8 give the root children of 8, 8 and 3
+    # leaves; the build's stray-group rule joins only a last group of one,
+    # so the last child starts under max(1, 16 // 4). (256, 164) is hidden
+    # by the points after it in its leaf, so deleting it keeps every
+    # staircase, yet the root merges that child
+    pts = [(i, 7919 * i % 300) for i in range(300)]
+    idx = SkylineIndex(pts, B=64, epsilon=1 / 3)
+    assert [len(ch.items) for ch in idx.root.items] == [8, 8, 3]
+    leaf = idx.root.items[2].items[0]
+    assert leaf.items[0] == (256, 164)
+    old = leaf.queue
+    assert idx.delete((256, 164))
+    assert leaf.queue is old
+    assert [len(ch.items) for ch in idx.root.items] == [8, 11]
+    _check_subtree(idx, idx.root)
+    assert idx.maxima() == naive_maxima(pts[:256] + pts[257:])
 
 
 def _catenate_then_drain(idx, lo, hi, ym):
