@@ -133,10 +133,12 @@ class _OpScope:
 
     runs: the buffer runs in memory for the duration of the operation, each
     keyed (id(backing), start, stop): the operands' working sets, and every
-    run read or created here. held: the records whose buffers the write-back
-    pass may flush when the outermost operation ends, the operands' working
-    sets first, then the records created here. kept: the versions the
-    operation hands out; their working sets stay in memory.
+    run read or created here. held: the flush candidates, the records of at
+    least b words whose buffers the write-back pass may flush when the
+    outermost operation ends: those of the operands' working sets first (a
+    record two operands share is listed twice), then those created here.
+    kept: the versions the operation hands out; their working sets stay in
+    memory.
     """
 
     __slots__ = ("runs", "blocks", "held", "kept")
@@ -144,7 +146,7 @@ class _OpScope:
     def __init__(self):
         self.runs: set[tuple[int, int, int]] = set()
         self.blocks = 0
-        self.held: dict[int, object] = {}
+        self.held: list = []
         self.kept: list = []
 
 

@@ -47,15 +47,18 @@ operation created or read it already. Record fence keys (min/max), sizes and
 the per-version cached minimum are maintained metadata and free. A version's
 working set is fixed once, when an operation first hands the version out
 (_keep): its focal records whose runs are in memory at that point. Only the
-outermost scope seeds operand working sets; nested operations join it. When
-the outermost operation exits, held buffers (operand working sets and
-records created here) that did not stay in any handed-out version's working
-set are written back, ceil(words / B) block writes per backing run above its
-flushed watermark; buffers shorter than b words live in the version's
-guaranteed memory allowance and are never flushed, so an operation that held
-none skips the pass. critical_records names the records worth pinning or
-bringing in (bring_in) and registers nothing: whoever pins a record
-registers it with the account first.
+outermost scope seeds operand working sets; a nested operation joins it by
+claiming the account, and nothing more. Buffers shorter than b words live in
+the version's guaranteed memory allowance and are never flushed, so the
+scope holds only the flush candidates: the operands' working-set records of
+at least b words, then those created here. When the outermost operation
+exits, each candidate that did not stay in any handed-out version's working
+set is written back, ceil(words / B) block writes per backing run above its
+flushed watermark; an operation that held none skips the pass. Spine nodes
+are not charged, and an end record is rewritten by one path copy
+(PDeque.replace_first, replace_last). critical_records names the records
+worth pinning or bringing in (bring_in) and registers nothing: whoever pins
+a record registers it with the account first.
 """
 
 from __future__ import annotations
@@ -201,10 +204,9 @@ class _Buf:
 def _run(buf: _Buf) -> tuple[int, int, int]:
     # Residency key, fixed when a record is made (Record.run). A record keeps
     # its backing alive, so the id in its key cannot be reused while the
-    # record lives. Within a scope, held records and operands keep every
-    # backing alive. A backing an enclosing scope lets go of could only be
-    # reused by one made later in the scope, whose records are all created
-    # here, so their runs are in already.
+    # record lives. A backing let go of while a scope is open could only
+    # have its id reused by one made later in the scope, whose records are
+    # all created here, so their runs are in already.
     return (id(buf.backing), buf.start, buf.stop)
 
 
@@ -247,8 +249,9 @@ def _new_record(account: IoAccount, buf: _Buf, child: "Queue | None" = None) -> 
     rec = Record(buf, child)
     scope = account._op
     if scope is not None:
-        scope.held[rec.rid] = rec
         scope.runs.add(rec.run)
+        if buf.stop - buf.start >= account.cfg.b:
+            scope.held.append(rec)
     return rec
 
 
@@ -341,10 +344,11 @@ def _panic(Q: Queue, msg: str):
 class _op:
     """Operation scope: seeds operand working sets, writes back displaced runs.
 
-    Only the outermost scope seeds; nested operations join it. On exit the
-    outermost scope writes back first and then leaves the account's
-    operation, also when the body raised. scope is the account's operation
-    scope in the outermost _op and None in a nested one.
+    Only the outermost scope opens the account's operation, seeds the
+    operands' working sets and, on exit, writes back first and then leaves
+    the operation, also when the body raised. A nested operation joins the
+    open scope by claiming the account, and nothing more. scope is the
+    account's operation scope in the outermost _op and None in a nested one.
     """
 
     __slots__ = ("account", "operands", "outer", "scope")
@@ -355,23 +359,26 @@ class _op:
 
     def __enter__(self) -> None:
         account = self.account
-        outermost = account._op is None
-        self.outer = account.operation()
-        scope = self.outer.__enter__()
-        if outermost:
-            runs, held = scope.runs, scope.held
-            for q in self.operands:
-                for rec in q.resident:
-                    runs.add(rec.run)
-                    held.setdefault(rec.rid, rec)
-            self.scope = scope
-        else:
+        if account._op is not None:
+            account._claim()
             self.scope = None
+            return
+        self.outer = account.operation()
+        self.scope = scope = self.outer.__enter__()
+        runs, held = scope.runs, scope.held
+        b = account.cfg.b
+        for q in self.operands:
+            for rec in q.resident:
+                runs.add(rec.run)
+                if rec.buf.stop - rec.buf.start >= b:
+                    held.append(rec)
 
     def __exit__(self, *exc) -> None:
+        if self.scope is None:
+            self.account._owner.release()
+            return
         try:
-            if self.scope is not None:
-                _writeback(self.account, self.scope)
+            _writeback(self.account, self.scope)
         finally:
             self.outer.__exit__(*exc)
 
@@ -391,13 +398,15 @@ def _keep(account: IoAccount, Q: Queue) -> Queue:
 
 
 def _writeback(account: IoAccount, scope) -> None:
-    # Only buffers of at least b words are ever flushed; when the operation
-    # held none, the handed-out working sets need not be looked at. cover
-    # maps each backing to the furthest stop of a run that stays resident in
-    # a handed-out working set, so it also covers those runs' own records.
-    b = account.cfg.b
-    flush = [rec for rec in scope.held.values() if rec.buf.stop - rec.buf.start >= b]
-    if not flush:
+    # held lists only buffers of at least b words, the only ones ever
+    # flushed; when there are none, the handed-out working sets need not be
+    # looked at. A record listed twice (a working set shared by two
+    # operands) is skipped by the same test, or finds its words already
+    # under the flushed watermark. cover maps each backing to the furthest
+    # stop of a run that stays resident in a handed-out working set, so it
+    # also covers those runs' own records.
+    held = scope.held
+    if not held:
         return
     cover: dict[int, int] = {}
     for q in scope.kept:
@@ -406,7 +415,7 @@ def _writeback(account: IoAccount, scope) -> None:
             if cover.get(bid, -1) < stop:
                 cover[bid] = stop
     pinned = account._pinned
-    for rec in flush:
+    for rec in held:
         bid, start, stop = rec.run
         if cover.get(bid, -1) >= stop or rec.rid in pinned:
             continue  # pinned, or a run as long on its backing stays resident
@@ -507,52 +516,29 @@ def bring_in(Q: Queue) -> None:
 # -- attrition surgery helpers ----------------------------------------------
 
 
-def _tail_records(Q: Queue):
-    """(last record, second to last record or None) without copying."""
-    deques = [Q.C, Q.Bq, *Q.D]
-    deques = [d for d in deques if d]
-    last_dq = deques[-1]
-    r_last = last_dq.last()
-    if len(last_dq) > 1:
-        r_prev = last_dq.get(len(last_dq) - 2)
-    elif len(deques) > 1:
-        r_prev = deques[-2].last()
-    else:
-        r_prev = None
-    return r_last, r_prev
-
-
-def _eject_tail(C: PDeque, Bq: PDeque, D: tuple[PDeque, ...]):
-    """Remove the physically last record. Returns (rec, C, Bq, D, slot)."""
+def _drop_tail(C: PDeque, Bq: PDeque, D: tuple[PDeque, ...]):
+    """(C, Bq, D) without the physically last record."""
     if D:
-        rec, rest = D[-1].eject()
-        if rest:
-            return rec, C, Bq, D[:-1] + (rest,), "D"
-        return rec, C, Bq, D[:-1], "D"
+        rest = D[-1].front()
+        return C, Bq, D[:-1] + (rest,) if rest else D[:-1]
     if Bq:
-        rec, rest = Bq.eject()
-        return rec, C, rest, D, "B"
-    rec, rest = C.eject()
-    return rec, rest, Bq, D, "C"
+        return C, Bq.front(), D
+    return C.front(), Bq, D
 
 
-def _inject_tail(C: PDeque, Bq: PDeque, D: tuple[PDeque, ...], slot: str, recs):
-    """Append records at the tail of the deque kind the last ejection hit."""
-    if slot == "C":
-        for r in recs:
-            C = C.inject(r)
-    elif slot == "B":
-        for r in recs:
-            Bq = Bq.inject(r)
-    else:
-        if D:
-            d = D[-1]
-            for r in recs:
-                d = d.inject(r)
-            D = D[:-1] + (d,)
-        else:
-            D = (PDeque.of(recs),)
-    return C, Bq, D
+def _replace_tail(C: PDeque, Bq: PDeque, D: tuple[PDeque, ...], rec: Record):
+    """(C, Bq, D) with rec in place of the physically last record, as if that
+    record were ejected and rec injected into the same kind of deque: when
+    the ejection empties the last of several dirty deques, rec joins the
+    dirty deque before it."""
+    if D:
+        dk = D[-1]
+        if len(dk) == 1 and len(D) > 1:
+            return C, Bq, D[:-2] + (D[-2].inject(rec),)
+        return C, Bq, D[:-1] + (dk.replace_last(rec),)
+    if Bq:
+        return C, Bq.replace_last(rec), D
+    return C.replace_last(rec), Bq, D
 
 
 # -- catenation --------------------------------------------------------------
@@ -610,14 +596,12 @@ def _cat_small_left(account, Q1, Q2, e, new_min, b):
     _load(account, r2)
     if len(keep) + r2.size <= 4 * b:
         merged = _new_record(account, _Buf.of(keep + r2.buf.tolist()), r2.child)
-        newC = Q2.C.rest().push(merged)
-        return Queue(account, newC, Q2.Bq, Q2.D, new_min)
+        return Queue(account, Q2.C.replace_first(merged), Q2.Bq, Q2.D, new_min)
     # keep the head record at exactly 2b, leave the remainder behind it
     take = 2 * b - len(keep)
     head = _new_record(account, _Buf.of(keep + r2.buf.prefix(take).tolist()))
     tail = _new_record(account, r2.buf.drop_front(take), r2.child)
-    newC = Q2.C.rest().push(tail).push(head)
-    return Queue(account, newC, Q2.Bq, Q2.D, new_min)
+    return Queue(account, Q2.C.replace_first(tail).push(head), Q2.Bq, Q2.D, new_min)
 
 
 def _cat_small_right(account, Q1, Q2, e, new_min, b):
@@ -625,25 +609,28 @@ def _cat_small_right(account, Q1, Q2, e, new_min, b):
     # allow, so short runs do not pile up as one-record deques.
     rq2 = Q2.C.first()
     cap = 5 * b
-    r_last, r_prev = _tail_records(Q1)
+    C1, B1, D1 = Q1.C, Q1.Bq, Q1.D
+    tail = D1[-1] if D1 else (B1 or C1)  # dirty deques are never empty
+    r_last = tail.last()
     if e <= r_last.min_key:
         # the whole tail record dies (its child too, which sits above it)
+        if len(tail) > 1:
+            r_prev = tail.get(len(tail) - 2)
+        else:
+            ahead = [d for d in (C1, B1, *D1) if d]
+            r_prev = ahead[-2].last() if len(ahead) > 1 else None
         if r_prev is None or e <= r_prev.min_key:
             return None  # attrition reaches deeper, general dispatch
-        _, C1, B1, D1, slot1 = _eject_tail(Q1.C, Q1.Bq, Q1.D)
         if e > r_prev.max_key:
             rec = _new_record(account, rq2.buf)
-            C1, B1, D1 = _inject_tail(C1, B1, D1, slot1, [rec])
-            return Queue(account, C1, B1, D1, new_min)
-        _, C2, B2, D2, slot2 = _eject_tail(C1, B1, D1)
+            return Queue(account, *_replace_tail(C1, B1, D1, rec), new_min)
         _load(account, r_prev)
         keep = r_prev.buf.cut_lt(e)
         if len(keep) + rq2.size > cap:
             return None
         _load(account, rq2)
         merged = _new_record(account, _Buf.of(keep.tolist() + rq2.buf.tolist()))
-        C2, B2, D2 = _inject_tail(C2, B2, D2, slot2, [merged])
-        return Queue(account, C2, B2, D2, new_min)
+        return Queue(account, *_replace_tail(*_drop_tail(C1, B1, D1), merged), new_min)
     if e <= r_last.max_key:
         # partial cut kills the tail's upper run and its child
         _load(account, r_last)
@@ -651,10 +638,8 @@ def _cat_small_right(account, Q1, Q2, e, new_min, b):
         if len(keep) + rq2.size > cap:
             return None
         _load(account, rq2)
-        _, C1, B1, D1, slot1 = _eject_tail(Q1.C, Q1.Bq, Q1.D)
         merged = _new_record(account, _Buf.of(keep.tolist() + rq2.buf.tolist()))
-        C1, B1, D1 = _inject_tail(C1, B1, D1, slot1, [merged])
-        return Queue(account, C1, B1, D1, new_min)
+        return Queue(account, *_replace_tail(C1, B1, D1, merged), new_min)
     if r_last.child is not None:
         return None  # the new run must land after the live child
     if r_last.size + rq2.size > cap:
@@ -662,9 +647,7 @@ def _cat_small_right(account, Q1, Q2, e, new_min, b):
     _load(account, r_last)
     _load(account, rq2)
     grown = _new_record(account, r_last.buf.extend_tip(rq2.buf.tolist()))
-    _, C1, B1, D1, slot1 = _eject_tail(Q1.C, Q1.Bq, Q1.D)
-    C1, B1, D1 = _inject_tail(C1, B1, D1, slot1, [grown])
-    return Queue(account, C1, B1, D1, new_min)
+    return Queue(account, *_replace_tail(C1, B1, D1, grown), new_min)
 
 
 def _behead(account: IoAccount, Q2: Queue) -> tuple[Record, Queue | None]:
@@ -761,13 +744,12 @@ def delete_min(Q: Queue) -> tuple[Element, Queue]:
                 return el, _keep(account, Queue(account, PDeque.empty(), PDeque.empty(), (), None))
             rec = _new_record(account, rest_buf)
             return el, _keep(account, Queue(account, PDeque.of([rec]), PDeque.empty(), (), rest_buf.first))
-        C2 = C.rest()
         aggravated = 0
         if len(rest_buf) >= b:
-            newC = C2.push(_new_record(account, rest_buf))
-            res = Queue(account, newC, Bq, D, rest_buf.first)
+            res = Queue(account, C.replace_first(_new_record(account, rest_buf)), Bq, D, rest_buf.first)
         else:
             # refill the head so it stays at b..3b words
+            C2 = C.rest()
             parts = rest_buf.tolist()
             guard = 0
             while True:
@@ -786,10 +768,10 @@ def delete_min(Q: Queue) -> tuple[Element, Queue]:
                         continue
                     if nxt.size <= 3 * b:
                         parts = parts + nxt.buf.prefix(b).tolist()
-                        C2 = C2.rest().push(_new_record(account, nxt.buf.drop_front(b)))
+                        C2 = C2.replace_first(_new_record(account, nxt.buf.drop_front(b)))
                     else:
                         parts = parts + nxt.buf.prefix(2 * b).tolist()
-                        C2 = C2.rest().push(_new_record(account, nxt.buf.drop_front(2 * b)))
+                        C2 = C2.replace_first(_new_record(account, nxt.buf.drop_front(2 * b)))
                     break
                 if Bq or D:
                     tmp = Queue(account, C2, Bq, D, _front_element(C2, Bq, D))
@@ -913,7 +895,7 @@ def _bias_buffer(account, Q, C, Bq, D, nm, b, depth):
     b_gone = attrited or not Brest
     kind, r2new, stand = _combine_pair(account, keep.tolist(), r2, b, b_gone)
     newB = PDeque.empty() if b_gone else Brest
-    newD = (d1.rest().push(r2new),) + D[1:]
+    newD = (d1.replace_first(r2new),) + D[1:]
     if kind == "prepend":
         return _bias_step(account, Queue(account, C, newB, newD, nm), depth + 1)
     return Queue(account, C.inject(stand), newB, newD, nm)
@@ -936,7 +918,7 @@ def _bias_dirty_pair(account, Q, C, Bq, D, nm, b):
         keep = r1.buf.cut_lt(e)
         rest = left.front()
         kind, r2new, stand = _combine_pair(account, keep.tolist(), right.first(), b, True)
-        right2 = right.rest().push(r2new)
+        right2 = right.replace_first(r2new)
         if stand is not None:
             right2 = right2.push(stand)
         merged = rest.catenate(right2)
@@ -988,16 +970,16 @@ def _repair_head(account, res, moved, nm, b, depth):
         sub = _bias_step(account, sub, depth + 1)
     if not sub.C:
         _panic(sub, "repair could not surface a successor record")
-    r2, Crest2 = sub.C.pop()
+    r2 = sub.C.first()
     _load(account, moved)
     _load(account, r2)
     comb = moved.buf.tolist() + r2.buf.tolist()
     if len(comb) > 3 * b:
         head = _new_record(account, _Buf.of(comb[: 2 * b]))
         tail = _new_record(account, _Buf.of(comb[2 * b :]), r2.child)
-        newC = Crest2.push(tail).push(head)
+        newC = sub.C.replace_first(tail).push(head)
     else:
-        newC = Crest2.push(_new_record(account, _Buf.of(comb), r2.child))
+        newC = sub.C.replace_first(_new_record(account, _Buf.of(comb), r2.child))
     return Queue(account, newC, sub.Bq, sub.D, nm)
 
 

@@ -5,7 +5,10 @@ returns a new deque and leaves the receiver untouched, so arbitrarily many
 versions can stay live at once and any version can be concatenated with any
 other. Internally a height-balanced join tree with items at the leaves:
 push/inject/pop/eject and catenate are all O(log n) worst case, which is the
-bound the rest of the package budgets for spine work.
+bound the rest of the package budgets for spine work. replace_first and
+replace_last rewrite an end item by copying the one path down to its leaf:
+O(log n) new nodes, and no joining or rebalancing, since no height or count
+changes.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ __all__ = ["EmptyDequeError", "PDeque"]
 
 
 class EmptyDequeError(Exception):
-    """Raised when first/last/pop/eject/rest/front hit an empty deque."""
+    """Raised when first/last/pop/eject/rest/front or replace_first/
+    replace_last hit an empty deque."""
 
 
 class _Node:
@@ -80,6 +84,14 @@ def _pop_back(node: _Node) -> tuple[Any, _Node | None]:
         return node.item, None
     item, rest = _pop_back(node.right)
     return item, _join(node.left, rest)
+
+
+def _replace_end(node: _Node, item: Any, front: bool) -> _Node:
+    if node.height == 1:
+        return _leaf(item)
+    if front:
+        return _Node(_replace_end(node.left, item, True), node.right, None, node.height, node.count)
+    return _Node(node.left, _replace_end(node.right, item, False), None, node.height, node.count)
 
 
 def _get(node: _Node, index: int) -> Any:
@@ -151,6 +163,20 @@ class PDeque:
             raise EmptyDequeError("eject of empty deque")
         item, rest = _pop_back(self._root)
         return item, PDeque(rest)
+
+    def replace_first(self, item: Any) -> "PDeque":
+        """New deque with its first item replaced: rest().push(item) in one
+        path copy."""
+        if self._root is None:
+            raise EmptyDequeError("replace_first of empty deque")
+        return PDeque(_replace_end(self._root, item, True))
+
+    def replace_last(self, item: Any) -> "PDeque":
+        """New deque with its last item replaced: front().inject(item) in one
+        path copy."""
+        if self._root is None:
+            raise EmptyDequeError("replace_last of empty deque")
+        return PDeque(_replace_end(self._root, item, False))
 
     def first(self) -> Any:
         if self._root is None:

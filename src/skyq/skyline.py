@@ -131,7 +131,11 @@ def _point(p) -> tuple:
 
 
 def _derive_params(B: int, epsilon: float) -> tuple[int, int]:
-    fanout = max(2, round(2 * B**epsilon))
+    fanout = round(2 * B**epsilon)
+    if fanout < 4:
+        # below 4 a node of one child does not underflow, so a subtree whose
+        # last point is deleted would stay among its parent's children
+        raise ValueError("fanout round(2 * B**epsilon) = %d is below 4 (B=%r, epsilon=%r)" % (fanout, B, epsilon))
     b = max(1, round(B ** (1.0 - epsilon)))
     return fanout, b
 
@@ -156,9 +160,10 @@ class SkylineIndex:
     """Fully dynamic maxima index with simulated block-transfer costs.
 
     B is the block size in words, epsilon in (0, 1) splits it between tree
-    fanout (about 2 * B**epsilon) and staircase buffering (b about
-    B**(1 - epsilon)). All queries and updates run against one shared
-    IoAccount; read its counters for the accumulated cost.
+    fanout (round(2 * B**epsilon), at least 4, else ValueError) and
+    staircase buffering (b about B**(1 - epsilon)). All queries and updates
+    run against one shared IoAccount; read its counters for the accumulated
+    cost.
     """
 
     def __init__(self, points=(), *, B: int = 64, epsilon: float = 1 / 3):

@@ -22,6 +22,7 @@ import pytest
 
 from skyq import cpqa, oracle
 from skyq.blockio import IoAccount, IoConfig
+from skyq.pfdeque import PDeque
 from skyq.skyline import SkylineIndex
 
 POOL = 4
@@ -130,7 +131,12 @@ def test_drift_stream_fingerprint_and_path_census(monkeypatch, B, b, want):
 # per-op sequence cannot.
 @pytest.mark.parametrize(
     "B, b, want",
-    [(64, 16, "c9636cbf149db28e"), (16, 4, "99b360373df7116e")],
+    [
+        (64, 16, "c9636cbf149db28e"),
+        (16, 4, "99b360373df7116e"),
+        (8, 2, "ca5b611143ba2171"),
+        (32, 6, "514a6a7a10f658cb"),
+    ],
 )
 def test_drift_stream_per_op_charges(B, b, want):
     trail = []
@@ -197,6 +203,52 @@ def test_focal_records_match_the_reference(monkeypatch):
         stack.extend(rec.child for dq in (q.C, q.Bq, *D) for rec in dq if rec.child is not None)
     assert len(seen) > 40_000
     assert repeats == {"C", "one dirty deque", "D[-2] is D[0]"}
+
+
+def eject_tail_reference(C, Bq, D):
+    """Remove the physically last record: (C, Bq, D, kind of its deque)."""
+    if D:
+        rest = D[-1].eject()[1]
+        return C, Bq, D[:-1] + (rest,) if rest else D[:-1], "D"
+    if Bq:
+        return C, Bq.eject()[1], D, "B"
+    return C.eject()[1], Bq, D, "C"
+
+
+def inject_tail_reference(C, Bq, D, slot, rec):
+    """Append rec to the tail of the deque kind an ejection hit."""
+    if slot == "C":
+        return C.inject(rec), Bq, D
+    if slot == "B":
+        return C, Bq.inject(rec), D
+    if D:
+        return C, Bq, D[:-1] + (D[-1].inject(rec),)
+    return C, Bq, (PDeque.of([rec]),)
+
+
+def test_replace_tail_matches_eject_then_inject(monkeypatch):
+    kept = []
+    keep = cpqa._keep
+    monkeypatch.setattr(cpqa, "_keep", lambda account, q: kept.append(q) or keep(account, q))
+    for B, b in [(8, 1), (8, 2), (8, 3), (16, 4), (32, 6), (64, 16)]:
+        for seed in (1, 2, 3):
+            run_stream(B, b, drift_stream(seed, 2000))
+    rec = cpqa.Record(cpqa._Buf.of([cpqa.Element(0)]))
+    seen = set()
+    emptied = 0
+    for q in kept:
+        if q.qid in seen or q.cached_min is None:
+            continue
+        seen.add(q.qid)
+        C, Bq, D, slot = eject_tail_reference(q.C, q.Bq, q.D)
+        want = inject_tail_reference(C, Bq, D, slot, rec)
+        got = cpqa._replace_tail(q.C, q.Bq, q.D, rec)
+        ids = lambda deques: [[r.rid for r in dq] for dq in deques]  # noqa: E731
+        assert ids([got[0], got[1], *got[2]]) == ids([want[0], want[1], *want[2]]), cpqa.dump(q)
+        # the ejection empties the last dirty deque, and rec lands in the one before
+        emptied += len(q.D) > 1 and len(q.D[-1]) == 1
+    assert len(seen) > 40_000
+    assert emptied > 0
 
 
 def _traced(idx, trail, call):

@@ -371,7 +371,7 @@ def owed_reads(q, below, runs, B):
     for rec, el in reversed(list(physical(q))):
         if best is None or el.key < best:
             best = el.key
-            holders[cpqa._run(rec.buf)] = rec.size
+            holders[rec.run] = rec.size
     return sum(-(-size // B) for run, size in holders.items() if run not in runs)
 
 

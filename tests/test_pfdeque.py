@@ -143,3 +143,65 @@ def test_random_op_equivalence():
             assert d.get(i) == ref[i]
         assert len(d) == len(ref)
     assert list(d) == ref
+
+
+def _nodes_on_end_path(d, front):
+    node = d._root
+    out = []
+    while node is not None:
+        out.append(node)
+        node = node.left if front else node.right
+    return out
+
+
+def test_replace_ends_match_a_list_model():
+    rng = random.Random(11)
+    d = PDeque.empty()
+    ref = []
+    replaced = 0
+    for step in range(3000):
+        pick = rng.randrange(7)
+        if pick == 0:
+            x = rng.randrange(1000)
+            d, ref = d.push(x), [x] + ref
+        elif pick == 1:
+            x = rng.randrange(1000)
+            d, ref = d.inject(x), ref + [x]
+        elif pick == 2 and len(ref) > 1:
+            d, ref = d.pop()[1], ref[1:]
+        elif pick == 3 and len(ref) > 1:
+            d, ref = d.eject()[1], ref[:-1]
+        elif pick == 4:
+            other = [rng.randrange(1000) for _ in range(rng.randrange(6))]
+            d, ref = d.catenate(PDeque.of(other)), ref + other
+        elif ref:
+            front = pick == 5
+            x = -step
+            new = d.replace_first(x) if front else d.replace_last(x)
+            want = [x] + ref[1:] if front else ref[:-1] + [x]
+            assert list(new) == want
+            assert list(d) == ref  # the receiver is left unchanged
+            # the copied path keeps every height and count, and the other
+            # subtrees are shared, not copied
+            old_path, new_path = _nodes_on_end_path(d, front), _nodes_on_end_path(new, front)
+            assert len(new_path) == len(old_path)
+            for old, cur in zip(old_path, new_path):
+                assert cur is not old
+                assert (cur.height, cur.count) == (old.height, old.count)
+                if cur.height > 1:
+                    assert (cur.right if front else cur.left) is (old.right if front else old.left)
+            d, ref = new, want
+            replaced += 1
+        assert len(d) == len(ref)
+    assert replaced > 500
+    assert list(d) == ref
+
+
+def test_replace_ends_of_one_item_and_empty_deques():
+    one = PDeque.of([7])
+    assert list(one.replace_first(8)) == [8]
+    assert list(one.replace_last(9)) == [9]
+    assert list(one) == [7]
+    for replace in (PDeque.empty().replace_first, PDeque.empty().replace_last):
+        with pytest.raises(EmptyDequeError):
+            replace(1)

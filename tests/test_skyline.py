@@ -198,6 +198,24 @@ def test_duplicate_x_rejected():
     assert len(idx) == 10 and idx.maxima() == naive_maxima(pts)
 
 
+def test_fanout_below_four_is_refused():
+    # At fanout round(2 * B**epsilon) = 2 or 3 a node of one child does not
+    # underflow. On these points at (8, 0.1), fanout 2, deleting in
+    # increasing x left an emptied subtree among its parent's children, and
+    # the 13th delete compared its missing xmax with an int (TypeError).
+    rng = random.Random(0)
+    pts = list(zip(rng.sample(range(2000), 200), rng.sample(range(1000), 200)))
+    for B, epsilon in ((8, 0.1), (4, 1 / 4), (2, 1 / 2), (16, 0.05)):
+        with pytest.raises(ValueError, match="fanout"):
+            SkylineIndex(pts, B=B, epsilon=epsilon)
+    # fanout 4 is accepted, and the same deletes run to the empty index
+    idx = SkylineIndex(pts, B=8, epsilon=1 / 3)
+    assert idx.fanout == 4
+    for p in sorted(pts):
+        assert idx.delete(p)
+    assert len(idx) == 0 and idx.maxima() == []
+
+
 def test_nan_coordinates_are_rejected_before_any_operation():
     nan = float("nan")
     for bad in ([(1, 5), (nan, 7), (3, 2)], [(1, nan)]):
