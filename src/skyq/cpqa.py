@@ -55,10 +55,11 @@ at least b words, then those created here. When the outermost operation
 exits, each candidate that did not stay in any handed-out version's working
 set is written back, ceil(words / B) block writes per backing run above its
 flushed watermark; an operation that held none skips the pass. Spine nodes
-are not charged, and an end record is rewritten by one path copy
-(PDeque.replace_first, replace_last). critical_records names the records
-worth pinning or bringing in (bring_in) and registers nothing: whoever pins
-a record registers it with the account first.
+are not charged: a deque is a tuple of records, and rewriting an end record
+(PDeque.replace_first, replace_last) copies that tuple and reads nothing.
+critical_records names the records worth pinning or bringing in (bring_in)
+and registers nothing: whoever pins a record registers it with the account
+first.
 """
 
 from __future__ import annotations
@@ -128,7 +129,13 @@ _elkey = attrgetter("key")
 
 
 def _as_element(e) -> Element:
-    return e if isinstance(e, Element) else Element(e, None)
+    if not isinstance(e, Element):
+        e = Element(e, None)
+    if e.key != e.key:
+        # NaN is neither below nor above any key, so the cuts that attrite
+        # by key would drop the live keys around it
+        raise ValueError("NaN key: %r" % (e,))
+    return e
 
 
 # -- buffers ----------------------------------------------------------------
@@ -589,9 +596,9 @@ def _cat_small_left(account, Q1, Q2, e, new_min, b):
     # Q1 is one short simple record: fold its survivors into Q2's first record.
     r1 = Q1.C.first()
     _load(account, r1)
+    # e is above Q1's minimum, the first key of r1 (_catenate), so keep
+    # holds at least that key
     keep = r1.buf.cut_lt(e).tolist()
-    if not keep:
-        return Q2
     r2 = Q2.C.first()
     _load(account, r2)
     if len(keep) + r2.size <= 4 * b:

@@ -131,6 +131,8 @@ def _point(p) -> tuple:
 
 
 def _derive_params(B: int, epsilon: float) -> tuple[int, int]:
+    if not 0 <= epsilon <= 1:
+        raise ValueError("epsilon must lie in [0, 1], got %r" % (epsilon,))
     fanout = round(2 * B**epsilon)
     if fanout < 4:
         # below 4 a node of one child does not underflow, so a subtree whose
@@ -159,11 +161,11 @@ class _Node:
 class SkylineIndex:
     """Fully dynamic maxima index with simulated block-transfer costs.
 
-    B is the block size in words, epsilon in (0, 1) splits it between tree
-    fanout (round(2 * B**epsilon), at least 4, else ValueError) and
-    staircase buffering (b about B**(1 - epsilon)). All queries and updates
-    run against one shared IoAccount; read its counters for the accumulated
-    cost.
+    B is the block size in words, epsilon in [0, 1] (else ValueError)
+    splits it between tree fanout (round(2 * B**epsilon), at least 4, else
+    ValueError) and staircase buffering (b about B**(1 - epsilon)). All
+    queries and updates run against one shared IoAccount; read its counters
+    for the accumulated cost.
     """
 
     def __init__(self, points=(), *, B: int = 64, epsilon: float = 1 / 3):
@@ -205,6 +207,8 @@ class SkylineIndex:
 
     def query3(self, x_lo, x_hi, y_min) -> list:
         """Maxima among the points with x in [x_lo, x_hi] and y >= y_min."""
+        if x_lo != x_lo or x_hi != x_hi or y_min != y_min:
+            raise ValueError("NaN query bound: %r" % ((x_lo, x_hi, y_min),))
         if self.root is None or x_lo > x_hi:
             return []
         out: list = []

@@ -206,6 +206,78 @@ def test_catenate_right_min_below_everything():
     assert drained_keys(c) == [1]
 
 
+def spy_on(monkeypatch, name):
+    """Record what each call of the cpqa function name returns."""
+    real, got = getattr(cpqa, name), []
+
+    def spy(*args):
+        got.append(real(*args))
+        return got[-1]
+
+    monkeypatch.setattr(cpqa, name, spy)
+    return got
+
+
+def catenated_against_reference(q1, q2, left_keys, right_keys):
+    q = cpqa.catenate_and_attrite(q1, q2)
+    ref = oracle.naive_catenate_and_attrite(
+        oracle.naive_catenate_and_attrite([], [(k, None) for k in left_keys]),
+        [(k, None) for k in right_keys],
+    )
+    assert cpqa.validate(q) == []
+    assert drained_keys(q) == [k for k, _ in ref]
+    return q
+
+
+def test_short_left_operand_splits_a_full_first_record_at_2b():
+    # 3 survivors in front of a 5b-word record exceed 4b words: the head
+    # record takes exactly 2b words and the rest of the record stays behind
+    acct = mk_account(b=4)
+    q1, q2 = build(acct, [-3, -2, -1]), build(acct, range(20))
+    assert [r.size for r in q1.C] == [3] and [r.size for r in q2.C] == [20]
+    q = catenated_against_reference(q1, q2, [-3, -2, -1], range(20))
+    assert [r.size for r in q.C] == [8, 15] and not q.Bq and not q.D
+
+
+@pytest.mark.parametrize(
+    "left_keys, sizes",
+    [
+        # 185 cuts the 5b record 0, 10, .., 190 after 180: 19 survivors and
+        # 3 new keys exceed 5b words
+        ([*range(0, 200, 10)], [20]),
+        # 10000 sits alone in a tail record that 185 kills whole; the record
+        # before it is cut as above and would overfill the same way
+        ([*range(0, 200, 10), 10000], [20, 1]),
+    ],
+    ids=["partial-cut", "whole-tail"],
+)
+def test_short_right_operand_that_would_overfill_a_record_goes_general(monkeypatch, left_keys, sizes):
+    acct = mk_account(b=4)
+    q1, q2 = build(acct, left_keys), build(acct, [185, 186, 187])
+    assert [r.size for r in q1.C] == sizes
+    got = spy_on(monkeypatch, "_cat_small_right")
+    catenated_against_reference(q1, q2, left_keys, [185, 186, 187])
+    assert got == [None]
+
+
+def test_nan_key_is_refused():
+    # NaN is neither below nor above any key: inserting NaN then 1 left [1],
+    # and 1 then NaN left [nan]
+    acct = mk_account()
+    q = build(acct, [1, 2])
+    nan = float("nan")
+    with pytest.raises(ValueError, match="NaN"):
+        cpqa.insert_and_attrite(q, nan)
+    with pytest.raises(ValueError, match="NaN"):
+        cpqa.insert_and_attrite(q, Element(nan, "p"))
+    with pytest.raises(ValueError, match="NaN"):
+        cpqa.singleton(acct, nan)
+    with pytest.raises(ValueError, match="NaN"):
+        cpqa.from_run(acct, [0, nan])
+    assert acct.current_op() is None
+    assert drained_keys(q) == [1, 2]
+
+
 def test_catenate_with_empty():
     acct = mk_account()
     a = build(acct, [1, 2, 3])

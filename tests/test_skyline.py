@@ -231,6 +231,30 @@ def test_nan_coordinates_are_rejected_before_any_operation():
         assert idx.maxima() == naive_maxima(sorted(pts)) == [(4, float("inf"))]
 
 
+def test_nan_query_bound_is_rejected():
+    # a NaN bound compares false with every coordinate, so the query
+    # reported nothing at all instead of failing
+    nan = float("nan")
+    idx = SkylineIndex([(1, 5), (2, 7), (3, 2)], B=8, epsilon=0.5)
+    before = idx.counters().reads
+    for bad in ((nan, 9, 0), (0, nan, 0), (0, 9, nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            idx.query3(*bad)
+    assert idx.counters().reads == before
+    assert idx.query3(0, 9, 0) == [(2, 7), (3, 2)]
+
+
+def test_epsilon_outside_the_unit_interval_is_refused():
+    # at epsilon = 1.5 and B = 64 the index used to build with fanout 1024
+    # and b = 1; the paper's split asks for 0 <= epsilon <= 1
+    for epsilon in (1.5, 1 + 1e-9, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="epsilon"):
+            SkylineIndex([(1, 5)], B=64, epsilon=epsilon)
+    idx = SkylineIndex([(1, 5), (2, 7)], B=64, epsilon=1)
+    assert (idx.fanout, idx.b) == (128, 1)
+    assert idx.maxima() == [(2, 7)]
+
+
 def test_counters_move_under_queries():
     rng = random.Random(8)
     pts = [(x, rng.randrange(10_000)) for x in rng.sample(range(100_000), 3000)]
