@@ -136,6 +136,9 @@ def test_drift_stream_fingerprint_and_path_census(monkeypatch, B, b, want):
         (16, 4, "99b360373df7116e"),
         (8, 2, "ca5b611143ba2171"),
         (32, 6, "514a6a7a10f658cb"),
+        (8, 1, "d8caa8885df27606"),
+        (8, 3, "bf0ec1a16cf0b05e"),
+        (256, 40, "92b41e5497ef52fc"),
     ],
 )
 def test_drift_stream_per_op_charges(B, b, want):
