@@ -22,6 +22,13 @@ keeps. The physical element order of a version is C, Bq, D_1 .. D_k, each
 record contributing its buffer and then its child's elements. Queues holding
 fewer than b elements are a single short simple record in C.
 
+Insertion is catenation with a one-element unit version. When the fences
+allow the catenation only to append the element to the physically last
+record (b > 1, the queue is not one short record, the element lies above
+that record, and the record has no child and room for one more word),
+insert_and_attrite grows that record in place and builds no unit version;
+otherwise it builds one and catenates.
+
 Ordering facts maintained across operations (checked by validate):
 
     - each buffer is strictly increasing, and within one deque consecutive
@@ -463,7 +470,9 @@ def empty(account: IoAccount) -> Queue:
 
 def _unit(account: IoAccount, e: Element) -> Queue:
     # kept like a handed-out version: at b == 1 its one-word buffer would
-    # otherwise be written back when a catenation merges it away
+    # otherwise be written back when a catenation merges it away. An insert
+    # builds one only when the fences do not let it grow the tail record in
+    # place (insert_and_attrite).
     rec = _new_record(account, _Buf.of([e]))
     return _keep(account, Queue(account, PDeque.of([rec]), PDeque.empty(), (), e))
 
@@ -563,6 +572,20 @@ def insert_and_attrite(Q: Queue, e) -> Queue:
     e = _as_element(e)
     account = Q.account
     with _op(account, Q):
+        # Sundar's insert is _catenate(Q, unit(e)). When that would only
+        # grow Q's tail record by e (the last branch of _cat_small_right),
+        # grow it here without making the unit version; the charges are the
+        # same, since the unit is made in the scope (loading it is free), is
+        # shorter than b (never flushed), and its working set is its own
+        # backing. At b = 1 the unit is no short run and the catenation goes
+        # general. A key above the last record is above Q's minimum too.
+        m = Q.cached_min
+        b = account.cfg.b
+        if b > 1 and m is not None and not _is_small_rep(Q):
+            D = Q.D
+            r_last = (D[-1] if D else (Q.Bq or Q.C)).last()
+            if r_last.child is None and e.key > r_last.max_key and r_last.size < 5 * b:
+                return _keep(account, _grow_tail(account, Q, r_last, [e], m))
         return _keep(account, _catenate(account, Q, _unit(account, e), False))
 
 
@@ -651,10 +674,16 @@ def _cat_small_right(account, Q1, Q2, e, new_min, b):
         return None  # the new run must land after the live child
     if r_last.size + rq2.size > cap:
         return None
-    _load(account, r_last)
     _load(account, rq2)
-    grown = _new_record(account, r_last.buf.extend_tip(rq2.buf.tolist()))
-    return Queue(account, *_replace_tail(C1, B1, D1, grown), new_min)
+    return _grow_tail(account, Q1, r_last, rq2.buf.tolist(), new_min)
+
+
+def _grow_tail(account, Q1, r_last, items, new_min):
+    # Q1 with items appended to its physically last record r_last, a simple
+    # record below every item with room for them
+    _load(account, r_last)
+    grown = _new_record(account, r_last.buf.extend_tip(items))
+    return Queue(account, *_replace_tail(Q1.C, Q1.Bq, Q1.D, grown), new_min)
 
 
 def _behead(account: IoAccount, Q2: Queue) -> tuple[Record, Queue | None]:

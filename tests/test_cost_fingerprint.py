@@ -88,9 +88,10 @@ def drift_stream(seed, count, warm=60, dip=0.08, cat=0.35, dmin=0.2):
     return ops
 
 
-def run_stream(B, b, ops, trail=None):
+def run_stream(B, b, ops, trail=None, shapes=None):
     """Total reads, writes and the largest operation's blocks; each op's
-    (reads, writes, last_op_blocks) goes to trail when one is given."""
+    (reads, writes, last_op_blocks) goes to trail, and its result's buffer
+    contents (buffer_shape) to shapes, when one is given."""
     acct = IoAccount(IoConfig(B, 4096 * B, b))
     counters = acct.counters
     qs = [cpqa.empty(acct)] * POOL
@@ -105,8 +106,19 @@ def run_stream(B, b, ops, trail=None):
             qs[dst] = cpqa.delete_min(qs[op[2]])[1]
         if trail is not None:
             trail.append((counters.reads - r0, counters.writes - w0, acct.last_op_blocks))
+        if shapes is not None:
+            shapes.append(buffer_shape(qs[dst]))
         assert cpqa.validate(qs[dst]) == [], op
     return acct.counters.reads, acct.counters.writes, acct.max_op_blocks
+
+
+def buffer_shape(q):
+    """Each deque of q as its records' buffer contents, a record with a child
+    followed by the child's shape."""
+    return [
+        [(rec.buf.tolist(), rec.child and buffer_shape(rec.child)) for rec in dq]
+        for dq in (q.C, q.Bq, *q.D)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -148,6 +160,41 @@ def test_drift_stream_per_op_charges(B, b, want):
     assert hashlib.sha256(repr(trail).encode()).hexdigest()[:16] == want
 
 
+def catenate_unit_insert(Q, e):
+    """insert_and_attrite in Sundar's form: catenate a unit version of e."""
+    e = cpqa._as_element(e)
+    account = Q.account
+    with cpqa._op(account, Q):
+        return cpqa._keep(account, cpqa._catenate(account, Q, cpqa._unit(account, e), False))
+
+
+# Growing the tail record in place must charge and build exactly what
+# catenating a unit version does. During op i the trail holds i entries.
+@pytest.mark.parametrize("B, b", [(64, 16), (16, 4), (8, 2), (32, 6), (8, 1), (8, 3), (256, 40)])
+def test_insert_grows_the_tail_as_the_unit_catenation_does(monkeypatch, B, b):
+    ops = drift_stream(35, 2000)
+    inserts = {i for i, op in enumerate(ops) if op[0] == "insert"}
+    trail, shapes, units = [], [], set()
+    unit = cpqa._unit
+    monkeypatch.setattr(cpqa, "_unit", lambda account, e: units.add(len(trail)) or unit(account, e))
+    run_stream(B, b, ops, trail, shapes)
+    direct = inserts - units  # the inserts that made no unit version
+    want_trail, want_shapes, grew = [], [], set()
+    grow = cpqa._grow_tail
+    monkeypatch.setattr(cpqa, "_grow_tail", lambda *args: grew.add(len(want_trail)) or grow(*args))
+    monkeypatch.setattr(cpqa, "insert_and_attrite", catenate_unit_insert)
+    run_stream(B, b, ops, want_trail, want_shapes)
+    assert trail == want_trail
+    assert shapes == want_shapes
+    # exactly the inserts whose unit catenation grows the tail record; at
+    # b = 1 the unit is no short run, so none
+    assert direct == grew & inserts
+    if b == 1:
+        assert not direct
+    if (B, b) == (64, 16):
+        assert len(direct) >= 0.8 * len(inserts), (len(direct), len(inserts))
+
+
 def focal_reference(Q):
     """The focal records as first written: collect with repeats, then drop
     each record seen before."""
@@ -177,6 +224,11 @@ def focal_reference(Q):
     return uniq
 
 
+def one_element_record(q):
+    """A version that is one record of one element, as a unit version is."""
+    return len(q.C) == 1 and not q.Bq and not q.D and q.C.first().size == 1
+
+
 def test_focal_records_match_the_reference(monkeypatch):
     kept = []
     keep = cpqa._keep
@@ -186,6 +238,7 @@ def test_focal_records_match_the_reference(monkeypatch):
             run_stream(B, b, drift_stream(seed, 2000))
     # every version handed out, and every version reachable from one
     seen = set()
+    shaped = 0
     repeats = set()
     stack = kept
     while stack:
@@ -203,8 +256,12 @@ def test_focal_records_match_the_reference(monkeypatch):
             repeats.add("one dirty deque")
         if len(D) == 2 and len(D[0]) == 1 and len(D[1]) == 1:
             repeats.add("D[-2] is D[0]")
+        if not one_element_record(q):
+            shaped += 1
         stack.extend(rec.child for dq in (q.C, q.Bq, *D) for rec in dq if rec.child is not None)
-    assert len(seen) > 40_000
+    # inserts that grow the tail in place hand out no unit version, so count
+    # only the versions that are more than one record of one element
+    assert shaped >= 27_000
     assert repeats == {"C", "one dirty deque", "D[-2] is D[0]"}
 
 
@@ -238,7 +295,7 @@ def test_replace_tail_matches_eject_then_inject(monkeypatch):
             run_stream(B, b, drift_stream(seed, 2000))
     rec = cpqa.Record(cpqa._Buf.of([cpqa.Element(0)]))
     seen = set()
-    emptied = 0
+    shaped = emptied = 0
     for q in kept:
         if q.qid in seen or q.cached_min is None:
             continue
@@ -250,7 +307,9 @@ def test_replace_tail_matches_eject_then_inject(monkeypatch):
         assert ids([got[0], got[1], *got[2]]) == ids([want[0], want[1], *want[2]]), cpqa.dump(q)
         # the ejection empties the last dirty deque, and rec lands in the one before
         emptied += len(q.D) > 1 and len(q.D[-1]) == 1
-    assert len(seen) > 40_000
+        shaped += not one_element_record(q)
+    # as in test_focal_records_match_the_reference
+    assert shaped >= 27_000
     assert emptied > 0
 
 

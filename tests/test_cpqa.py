@@ -258,7 +258,7 @@ def test_short_right_operand_that_would_overfill_a_record_goes_general(monkeypat
     assert got == [None]
 
 
-def test_nan_key_is_refused():
+def test_nan_key_is_refused(monkeypatch):
     # NaN is neither below nor above any key: inserting NaN then 1 left [1],
     # and 1 then NaN left [nan]
     acct = mk_account()
@@ -274,6 +274,21 @@ def test_nan_key_is_refused():
         cpqa.from_run(acct, [0, nan])
     assert acct.current_op() is None
     assert drained_keys(q) == [1, 2]
+    # b ascending keys and room in the tail record: an insert above them
+    # grows that record in place, with no unit version
+    q = build(acct, range(1, 7))
+    tail = q.C.last().buf
+    units = spy_on(monkeypatch, "_unit")
+    assert drained_keys(cpqa.insert_and_attrite(q, 7)) == list(range(1, 8))
+    assert units == []
+    grown = len(tail.backing)
+    with pytest.raises(ValueError, match="NaN"):
+        cpqa.insert_and_attrite(q, nan)
+    with pytest.raises(ValueError, match="NaN"):
+        cpqa.insert_and_attrite(q, Element(nan, "p"))
+    assert acct.current_op() is None
+    assert len(tail.backing) == grown
+    assert drained_keys(q) == list(range(1, 7))
 
 
 def test_catenate_with_empty():
