@@ -32,6 +32,15 @@ Cost model used by the queue layer:
 Everything charges through an IoAccount; tests can temporarily suspend
 charging.
 
+IoAccount.operation(*queues) is the one operation scope, and it owns the
+working sets and the write-back: the outermost scope seeds its operand
+versions' working sets on entry, and on exit writes back every flush
+candidate that no version it handed out keeps in memory. That holds for
+every outermost operation, a queue operation, an index operation or a
+caller's own scope; the operations nested in it charge into it. This
+module reads records and versions by duck typing: a record's run, rid,
+buf (start, stop, backing.flushed), and a version's resident records.
+
 An account is used by one thread at a time. Its open operation, nesting
 depth, suspension count and pin table are plain attributes with no locking.
 The queue layer reads the open operation (_op) and the pin table (_pinned)
@@ -128,28 +137,6 @@ class IoCounters:
         return "IoCounters(%s)" % self.to_text()
 
 
-class _OpScope:
-    """Charges accumulated by one public operation (nested calls join it).
-
-    runs: the buffer runs in memory for the duration of the operation, each
-    keyed (id(backing), start, stop): the operands' working sets, and every
-    run read or created here. held: the flush candidates, the records of at
-    least b words whose buffers the write-back pass may flush when the
-    outermost operation ends: those of the operands' working sets first (a
-    record two operands share is listed twice), then those created here.
-    kept: the versions the operation hands out; their working sets stay in
-    memory.
-    """
-
-    __slots__ = ("runs", "blocks", "held", "kept")
-
-    def __init__(self):
-        self.runs: set[tuple[int, int, int]] = set()
-        self.blocks = 0
-        self.held: list = []
-        self.kept: list = []
-
-
 class IoAccount:
     """One ledger shared by a family of queues or one index instance.
 
@@ -165,7 +152,7 @@ class IoAccount:
         self._registry: dict[int, int] = {}
         self._pinned: dict[int, int] = {}
         self._pinned_words = 0
-        self._op: _OpScope | None = None
+        self._op: _Operation | None = None
         self._depth = 0
         self._suspend = 0
         self._owner = threading.RLock()
@@ -235,15 +222,16 @@ class IoAccount:
 
     # -- operation scoping -------------------------------------------------
 
-    def operation(self):
-        """Context manager bounding one public queue operation."""
-        return _Operation(self)
+    def operation(self, *queues):
+        """Context manager bounding one public operation on the given queue
+        versions (its operands); see _Operation."""
+        return _Operation(self, queues)
 
     def suspended(self):
         """Context manager under which nothing is charged (for oracles/tests)."""
         return _Suspend(self)
 
-    def current_op(self) -> _OpScope | None:
+    def current_op(self) -> _Operation | None:
         return self._op
 
     def depth(self) -> int:
@@ -265,30 +253,95 @@ class IoAccount:
 
 
 class _Operation:
-    __slots__ = ("account",)
+    """One operation scope; the outermost one carries the operation's state.
 
-    def __init__(self, account: IoAccount):
+    The outermost scope is the account's open operation (_op). On entry it
+    seeds the operands' working sets; on exit it writes back, then closes
+    the operation, also when the body raised. A nested scope claims the
+    account and counts depth, and does nothing else; its operands are
+    already covered by the outermost scope's memory.
+
+    runs: the buffer runs in memory for the duration of the operation, each
+    keyed (id(backing), start, stop): the operands' working sets, and every
+    run read or created here. held: the flush candidates, the records of at
+    least b words whose buffers the write-back may flush: those of the
+    operands' working sets first (a record two operands share is listed
+    twice), then those created here. kept: the versions the operation hands
+    out; their working sets stay in memory. blocks: the transfers charged.
+    """
+
+    __slots__ = ("account", "operands", "runs", "blocks", "held", "kept")
+
+    def __init__(self, account: IoAccount, operands: tuple):
         self.account = account
+        self.operands = operands
 
-    def __enter__(self) -> _OpScope:
+    def __enter__(self) -> "_Operation":
         account = self.account
         account._claim()
-        if account._depth == 0:
-            account._op = _OpScope()
         account._depth += 1
-        return account._op
+        if account._op is not None:
+            return account._op
+        account._op = self
+        self.runs = runs = set()
+        self.blocks = 0
+        self.held = held = []
+        self.kept = []
+        b = account.cfg.b
+        for q in self.operands:
+            for rec in q.resident:
+                runs.add(rec.run)
+                if rec.buf.stop - rec.buf.start >= b:
+                    held.append(rec)
+        return self
 
     def __exit__(self, *exc) -> None:
         account = self.account
-        account._depth -= 1
-        if account._depth == 0:
-            scope = account._op
+        if account._op is not self:
+            account._depth -= 1
+            account._owner.release()
+            return None
+        try:
+            if self.held:
+                self._write_back()
+        finally:
             account._op = None
-            account.last_op_blocks = scope.blocks
-            if scope.blocks > account.max_op_blocks:
-                account.max_op_blocks = scope.blocks
-        account._owner.release()
+            account._depth -= 1
+            account.last_op_blocks = self.blocks
+            if self.blocks > account.max_op_blocks:
+                account.max_op_blocks = self.blocks
+            account._owner.release()
         return None
+
+    def _write_back(self) -> None:
+        # Each held record whose run stays in no handed-out working set is
+        # flushed. held lists only buffers of at least b words, the only
+        # ones ever flushed, so with none held the handed-out working sets
+        # are not looked at. A record listed twice (a working set shared by
+        # two operands) is skipped by the same test, or finds its words
+        # already under the flushed watermark. cover maps each backing to the
+        # furthest stop of a run that stays resident in a handed-out working
+        # set, so it also covers those runs' own records.
+        cover: dict[int, int] = {}
+        for q in self.kept:
+            for rec in q.resident:
+                bid, _, stop = rec.run
+                if cover.get(bid, -1) < stop:
+                    cover[bid] = stop
+        account = self.account
+        pinned = account._pinned
+        for rec in self.held:
+            bid, start, stop = rec.run
+            if cover.get(bid, -1) >= stop or rec.rid in pinned:
+                continue  # pinned, or a run as long on its backing stays resident
+            backing = rec.buf.backing
+            lo = backing.flushed
+            if start > lo:
+                lo = start
+            words = stop - lo
+            if words > 0:
+                backing.flushed = stop
+                account.charge_write_words(words)
 
 
 class _Suspend:

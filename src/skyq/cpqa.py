@@ -53,17 +53,18 @@ pinned, or the run is in an operand version's working set, or this
 operation created or read it already. Record fence keys (min/max), sizes and
 the per-version cached minimum are maintained metadata and free. A version's
 working set is fixed once, when an operation first hands the version out
-(_keep): its focal records whose runs are in memory at that point. Only the
-outermost scope seeds operand working sets; a nested operation joins it by
-claiming the account, and nothing more. Buffers shorter than b words live in
-the version's guaranteed memory allowance and are never flushed, so the
-scope holds only the flush candidates: the operands' working-set records of
-at least b words, then those created here. When the outermost operation
-exits, each candidate that did not stay in any handed-out version's working
-set is written back, ceil(words / B) block writes per backing run above its
-flushed watermark; an operation that held none skips the pass. Spine nodes
-are not charged: a deque is a tuple of records, and rewriting an end record
-(PDeque.replace_first, replace_last) copies that tuple and reads nothing.
+(_keep): its focal records whose runs are in memory at that point. Buffers
+shorter than b words live in the version's guaranteed memory allowance and
+are never flushed, so the scope holds only the flush candidates: the
+operands' working-set records of at least b words, then those created
+here. The scope is blockio's (IoAccount.operation): its outermost instance
+seeds the operands' working sets and, when it exits, writes back each
+candidate that did not stay in any handed-out version's working set,
+ceil(words / B) block writes per backing run above its flushed watermark.
+An index operation is such an outermost scope too, so its nested queue
+operations write back when it ends. Spine nodes are not charged: a deque is
+a tuple of records, and rewriting an end record (PDeque.replace_first,
+replace_last) copies that tuple and reads nothing.
 critical_records names the records worth pinning or bringing in (bring_in)
 and registers nothing: whoever pins a record registers it with the account
 first.
@@ -355,48 +356,6 @@ def _panic(Q: Queue, msg: str):
     raise StructureError(msg + "\n" + dump(Q))
 
 
-class _op:
-    """Operation scope: seeds operand working sets, writes back displaced runs.
-
-    Only the outermost scope opens the account's operation, seeds the
-    operands' working sets and, on exit, writes back first and then leaves
-    the operation, also when the body raised. A nested operation joins the
-    open scope by claiming the account, and nothing more. scope is the
-    account's operation scope in the outermost _op and None in a nested one.
-    """
-
-    __slots__ = ("account", "operands", "outer", "scope")
-
-    def __init__(self, account: IoAccount, *operands: Queue):
-        self.account = account
-        self.operands = operands
-
-    def __enter__(self) -> None:
-        account = self.account
-        if account._op is not None:
-            account._claim()
-            self.scope = None
-            return
-        self.outer = account.operation()
-        self.scope = scope = self.outer.__enter__()
-        runs, held = scope.runs, scope.held
-        b = account.cfg.b
-        for q in self.operands:
-            for rec in q.resident:
-                runs.add(rec.run)
-                if rec.buf.stop - rec.buf.start >= b:
-                    held.append(rec)
-
-    def __exit__(self, *exc) -> None:
-        if self.scope is None:
-            self.account._owner.release()
-            return
-        try:
-            _writeback(self.account, self.scope)
-        finally:
-            self.outer.__exit__(*exc)
-
-
 def _keep(account: IoAccount, Q: Queue) -> Queue:
     """Hand Q out as an operation result: its working set stays in memory.
 
@@ -409,38 +368,6 @@ def _keep(account: IoAccount, Q: Queue) -> Queue:
         Q.resident = tuple([rec for rec in focal if rec.run in runs])
     scope.kept.append(Q)
     return Q
-
-
-def _writeback(account: IoAccount, scope) -> None:
-    # held lists only buffers of at least b words, the only ones ever
-    # flushed; when there are none, the handed-out working sets need not be
-    # looked at. A record listed twice (a working set shared by two
-    # operands) is skipped by the same test, or finds its words already
-    # under the flushed watermark. cover maps each backing to the furthest
-    # stop of a run that stays resident in a handed-out working set, so it
-    # also covers those runs' own records.
-    held = scope.held
-    if not held:
-        return
-    cover: dict[int, int] = {}
-    for q in scope.kept:
-        for rec in q.resident:
-            bid, _, stop = rec.run
-            if cover.get(bid, -1) < stop:
-                cover[bid] = stop
-    pinned = account._pinned
-    for rec in held:
-        bid, start, stop = rec.run
-        if cover.get(bid, -1) >= stop or rec.rid in pinned:
-            continue  # pinned, or a run as long on its backing stays resident
-        backing = rec.buf.backing
-        lo = backing.flushed
-        if start > lo:
-            lo = start
-        words = stop - lo
-        if words > 0:
-            backing.flushed = stop
-            account.charge_write_words(words)
 
 
 def _front_element(C: PDeque, Bq: PDeque, D: tuple[PDeque, ...]) -> Element | None:
@@ -479,7 +406,7 @@ def _unit(account: IoAccount, e: Element) -> Queue:
 
 def singleton(account: IoAccount, e) -> Queue:
     e = _as_element(e)
-    with _op(account):
+    with account.operation():
         return _unit(account, e)
 
 
@@ -497,7 +424,7 @@ def from_run(account: IoAccount, elements) -> Queue:
     if not keep:
         return empty(account)
     keep.reverse()
-    with _op(account):
+    with account.operation():
         rec = _new_record(account, _Buf.of(keep))
         return _keep(account, Queue(account, PDeque.of([rec]), PDeque.empty(), (), keep[0]))
 
@@ -564,14 +491,14 @@ def catenate_and_attrite(Q1: Queue, Q2: Queue) -> Queue:
     if Q1.account is not Q2.account:
         raise ConfigMismatchError("queues charge different accounts")
     account = Q1.account
-    with _op(account, Q1, Q2):
+    with account.operation(Q1, Q2):
         return _keep(account, _catenate(account, Q1, Q2, False))
 
 
 def insert_and_attrite(Q: Queue, e) -> Queue:
     e = _as_element(e)
     account = Q.account
-    with _op(account, Q):
+    with account.operation(Q):
         # Sundar's insert is _catenate(Q, unit(e)). When that would only
         # grow Q's tail record by e (the last branch of _cat_small_right),
         # grow it here without making the unit version; the charges are the
@@ -761,7 +688,7 @@ def delete_min(Q: Queue) -> tuple[Element, Queue]:
         raise EmptyQueueError("delete_min on empty queue")
     account = Q.account
     b = account.cfg.b
-    with _op(account, Q):
+    with account.operation(Q):
         guard = 0
         while not Q.C:
             Q = bias(Q)
@@ -852,7 +779,7 @@ def bias(Q: Queue) -> Queue:
     if Q.cached_min is None or (not Q.Bq and not Q.D):
         return Q
     account = Q.account
-    with _op(account, Q):
+    with account.operation(Q):
         target = delta(Q) + 1
         res = _bias_step(account, Q, 0)
         guard = 0
@@ -1044,7 +971,7 @@ def concat_sequence(queues: list[Queue]) -> Queue:
             raise PreconditionViolatedError(
                 "queue q%d has delta %d with %d records" % (q.qid, delta(q), record_count(q))
             )
-    with _op(account, *queues):
+    with account.operation(*queues):
         acc = queues[-1]
         for q in reversed(queues[:-1]):
             acc = _catenate(account, q, acc, True)

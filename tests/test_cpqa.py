@@ -9,6 +9,7 @@ import itertools
 import math
 import random
 import re
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -352,6 +353,58 @@ def test_bring_in_makes_critical_records_free_for_the_operation():
         assert acct.counters.reads == 3
         cpqa._load(acct, other)
         assert acct.counters.reads == 3 + math.ceil(other.size / 4) == 6
+
+
+def test_queue_operations_nest_in_a_callers_operation(monkeypatch):
+    # the outermost scope seeds its operands and writes back when it exits;
+    # a queue operation inside it only counts depth and charges into it
+    top = mk_account(b=4, B=4)
+    cpqa.insert_and_attrite(build(top, range(1, 41)), 0)
+    assert top.counters.writes == 10  # both 20-word records of the operand
+    acct = mk_account(b=4, B=4)
+    q = build(acct, range(1, 41))
+    assert [rec.size for rec in q.resident] == [20, 20]
+    depths = []
+    keep = cpqa._keep
+    monkeypatch.setattr(cpqa, "_keep", lambda account, Q: depths.append(account.depth()) or keep(account, Q))
+    with acct.operation(q) as scope:
+        assert acct.current_op() is scope and acct.depth() == 1
+        q2 = cpqa.insert_and_attrite(q, 0)
+        assert depths and set(depths) == {2} and acct.current_op() is scope
+        assert acct.counters.writes == 0
+    assert acct.counters.writes == 10 == acct.last_op_blocks
+    assert drained_keys(q2) == [0]
+    # a nested operand is not seeded: its first record, in memory for a
+    # top-level delete_min, is a cold read of 20 words inside the scope
+    q = build(acct, range(1, 41))
+    reads = acct.counters.reads
+    cpqa.delete_min(q)
+    assert acct.counters.reads == reads
+    with acct.operation():
+        cpqa.delete_min(q)
+        assert acct.counters.reads == reads + 5
+    assert acct.depth() == 0 and acct.current_op() is None
+
+
+def test_a_raising_operation_still_writes_back_and_lets_go_of_the_account():
+    acct = mk_account(b=4, B=4)
+    q = build(acct, range(1, 41))
+    with pytest.raises(KeyError):
+        with acct.operation(q):
+            cpqa.insert_and_attrite(q, 0)
+            raise KeyError
+    assert acct.counters.writes == 10 == acct.last_op_blocks
+    assert acct.current_op() is None and acct.depth() == 0
+    opened = []
+
+    def other():
+        with acct.operation():
+            opened.append(acct.depth())
+
+    t = threading.Thread(target=other)
+    t.start()
+    t.join()
+    assert opened == [1]
 
 
 def test_surfacing_a_dirty_record_reads_it():
