@@ -43,9 +43,10 @@ buf (start, stop, backing.flushed), and a version's resident records.
 
 An account is used by one thread at a time. Its open operation, nesting
 depth, suspension count and pin table are plain attributes with no locking.
-The queue layer reads the open operation (_op) and the pin table (_pinned)
-as attributes on its hot path; current_op(), depth() and is_pinned() are
-the same reads as methods.
+The queue layer reads the open operation (_op) as an attribute on its hot
+path, and asks is_pinned() when it loads a record; the write-back reads the
+pin table (_pinned) directly. current_op() and depth() return the open
+operation and the nesting depth.
 Entering an operation or a suspended scope claims the account for the
 calling thread; that thread may nest further scopes, while any other thread
 that tries to enter one before the claim ends gets RuntimeError.

@@ -38,9 +38,13 @@ Ordering facts maintained across operations (checked by validate):
       strictly below the first dirty record;
     - the first dirty record's first element is the minimum of everything in
       the dirty deques;
+    - a nonempty version has a clean record, and bias, which keeps every live
+      element, never returns a version without records;
     - the structure counter delta(Q) = |C| - sum |D_i| - k + 1 is nonnegative
-      between operations. Operations may lower it by a bounded amount; bias
-      raises it by at least one, touching O(1) records near deque ends.
+      between operations. Bias raises it by at least one, touching O(1)
+      records near deque ends. A lone catenation or delete_min lowers it by
+      a known bound and then biases as often: the general catenation once or
+      twice, delete_min once per record its head refill merges.
 
 The first element of the first record is therefore the global minimum; every
 version caches it, which makes find_min free.
@@ -271,10 +275,9 @@ def _new_record(account: IoAccount, buf: _Buf, child: "Queue | None" = None) -> 
 
 
 def _load(account: IoAccount, rec: Record) -> None:
-    """Bring a record's contents into memory for this operation."""
+    """Bring a record's contents into memory for the open operation; every
+    caller runs inside one."""
     scope = account._op
-    if scope is None:
-        return
     run = rec.run
     if run not in scope.runs:
         scope.runs.add(run)
@@ -370,11 +373,11 @@ def _keep(account: IoAccount, Q: Queue) -> Queue:
     return Q
 
 
-def _front_element(C: PDeque, Bq: PDeque, D: tuple[PDeque, ...]) -> Element | None:
+def _front_element(C: PDeque, Bq: PDeque, D: tuple[PDeque, ...]) -> Element:
+    # every caller passes at least one record
     for dq in (C, Bq) + D:
         if dq:
             return dq.first().buf.first
-    return None
 
 
 def _is_small_rep(Q: Queue) -> bool:
@@ -450,7 +453,7 @@ def bring_in(Q: Queue) -> None:
     """Count the runs of Q's critical records as read by the open operation,
     charging nothing: the caller prices them (the index charges a node's
     critical records when it fetches the node). A no-op outside an
-    operation, as _load is."""
+    operation."""
     scope = Q.account._op
     if scope is not None:
         scope.runs.update([rec.run for rec in critical_records(Q)])
@@ -670,13 +673,12 @@ def _cat_general(account, Q1, Q2, e, new_min, b, seq):
         res = Queue(account, C1, keepB, newD, new_min)
         if not seq:
             res = bias(res)
-    if seq:
-        while delta(res) < 1:
-            res = bias(res)
-    else:
+    # the branches leave delta at -1, at |C1| - 1, and at delta(Q1) - 2 or
+    # more, the last biased once already: one bias more makes each >= 0
+    if not seq:
+        return bias(res)
+    while delta(res) < 1:
         res = bias(res)
-        while delta(res) < 0:
-            res = bias(res)
     return res
 
 
@@ -689,13 +691,9 @@ def delete_min(Q: Queue) -> tuple[Element, Queue]:
     account = Q.account
     b = account.cfg.b
     with account.operation(Q):
-        guard = 0
-        while not Q.C:
-            Q = bias(Q)
-            guard += 1
-            if guard > 64:
-                _panic(Q, "could not surface a clean record")
         C, Bq, D = Q.C, Q.Bq, Q.D
+        if not C:
+            _panic(Q, "nonempty version with no clean record")
         r = C.first()
         _load(account, r)
         el = r.buf.first
@@ -711,7 +709,8 @@ def delete_min(Q: Queue) -> tuple[Element, Queue]:
         if len(rest_buf) >= b:
             res = Queue(account, C.replace_first(_new_record(account, rest_buf)), Bq, D, rest_buf.first)
         else:
-            # refill the head so it stays at b..3b words
+            # refill the head to b..3b words. Bias never empties a version, so
+            # C2, Bq or D is nonempty at each turn, and parts at each exit
             C2 = C.rest()
             parts = rest_buf.tolist()
             guard = 0
@@ -719,36 +718,29 @@ def delete_min(Q: Queue) -> tuple[Element, Queue]:
                 guard += 1
                 if guard > 64:
                     _panic(Q, "head refill did not terminate")
-                if C2:
-                    nxt = C2.first()
-                    _load(account, nxt)
-                    if nxt.size <= 2 * b:
-                        parts = parts + nxt.buf.tolist()
-                        C2 = C2.rest()
-                        aggravated += 1
-                        if parts and (len(parts) >= b or not (C2 or Bq or D)):
-                            break
-                        continue
-                    if nxt.size <= 3 * b:
-                        parts = parts + nxt.buf.prefix(b).tolist()
-                        C2 = C2.replace_first(_new_record(account, nxt.buf.drop_front(b)))
-                    else:
-                        parts = parts + nxt.buf.prefix(2 * b).tolist()
-                        C2 = C2.replace_first(_new_record(account, nxt.buf.drop_front(2 * b)))
-                    break
-                if Bq or D:
-                    tmp = Queue(account, C2, Bq, D, _front_element(C2, Bq, D))
-                    tmp = bias(tmp)
+                if not C2:
+                    tmp = bias(Queue(account, C2, Bq, D, _front_element(C2, Bq, D)))
                     C2, Bq, D = tmp.C, tmp.Bq, tmp.D
                     continue
+                nxt = C2.first()
+                _load(account, nxt)
+                if nxt.size <= 2 * b:
+                    parts = parts + nxt.buf.tolist()
+                    C2 = C2.rest()
+                    aggravated += 1
+                    if len(parts) >= b or not (C2 or Bq or D):
+                        break
+                    # kept: needs a head of under b words ahead of more records
+                    continue
+                take = b if nxt.size <= 3 * b else 2 * b
+                parts = parts + nxt.buf.prefix(take).tolist()
+                C2 = C2.replace_first(_new_record(account, nxt.buf.drop_front(take)))
                 break
-            if not parts:
-                return el, _keep(account, Queue(account, PDeque.empty(), PDeque.empty(), (), None))
             headrec = _new_record(account, _Buf.of(parts))
             res = Queue(account, C2.push(headrec), Bq, D, headrec.buf.first)
+        # each merged record lowered delta by one from delta(Q) >= 0; each bias
+        # restores one, or leaves the version all clean (delta |C| + 1)
         for _ in range(aggravated):
-            res = bias(res)
-        while delta(res) < 0:
             res = bias(res)
         return el, _keep(account, res)
 
@@ -762,6 +754,8 @@ def drain(Q: Queue, *, below=None) -> list[Element]:
     level it pops with delete_min: each pop is an operation of its own, with
     its own write-back.
     """
+    if below != below:
+        raise ValueError("NaN drain bound: %r" % (below,))
     if Q.account._op is not None:
         return _live(Q, below, _load)
     out: list[Element] = []
@@ -782,6 +776,7 @@ def bias(Q: Queue) -> Queue:
     with account.operation(Q):
         target = delta(Q) + 1
         res = _bias_step(account, Q, 0)
+        # kept: only an empty C ahead of two or more dirty records needs it
         guard = 0
         while delta(res) < target and (res.Bq or res.D):
             res = _bias_step(account, res, 0)
@@ -798,13 +793,13 @@ def _bias_step(account: IoAccount, Q: Queue, depth: int) -> Queue:
     C, Bq, D = Q.C, Q.Bq, Q.D
     nm = Q.cached_min
     if len(D) > 1:
-        return _bias_dirty_pair(account, Q, C, Bq, D, nm, b)
+        return _bias_dirty_pair(account, C, Bq, D, nm, b)
     if Bq and D:
-        return _bias_buffer(account, Q, C, Bq, D, nm, b, depth)
+        return _bias_buffer(account, C, Bq, D, nm, b, depth)
     if Bq:
         # no dirty deques, so nothing behind Bq attrites it: fold it clean
         return Queue(account, C.catenate(Bq), PDeque.empty(), (), nm)
-    return _bias_absorb(account, Q, C, D, nm, b, depth)
+    return _bias_absorb(account, C, D, nm, b, depth)
 
 
 def _combine_pair(account, l1p: list[Element], r2: Record, b: int, allow_takes: bool):
@@ -844,7 +839,7 @@ def _combine_pair(account, l1p: list[Element], r2: Record, b: int, allow_takes: 
     return "standalone", r2, _new_record(account, _Buf.of(l1p))
 
 
-def _bias_buffer(account, Q, C, Bq, D, nm, b, depth):
+def _bias_buffer(account, C, Bq, D, nm, b, depth):
     # Move the head of Bq out: its survivors either prepend onto the first
     # dirty record or become a clean record. Runs only when k == 1, so
     # elements taken out of the first dirty record are sound in C.
@@ -864,7 +859,7 @@ def _bias_buffer(account, Q, C, Bq, D, nm, b, depth):
     return Queue(account, C.inject(stand), newB, newD, nm)
 
 
-def _bias_dirty_pair(account, Q, C, Bq, D, nm, b):
+def _bias_dirty_pair(account, C, Bq, D, nm, b):
     # Shrink the dirty fringe by resolving the boundary between the last two
     # deques. All movement stays inside dirty territory.
     left = D[-2]
@@ -889,7 +884,7 @@ def _bias_dirty_pair(account, Q, C, Bq, D, nm, b):
     return Queue(account, C, Bq, D[:-2] + (left.catenate(right),), nm)
 
 
-def _bias_absorb(account, Q, C, D, nm, b, depth):
+def _bias_absorb(account, C, D, nm, b, depth):
     # k == 1 and no buffer deque: surface the first dirty buffer as a clean
     # record and splice its child in, attrited by what remains dirty.
     d1 = D[0]
@@ -930,6 +925,7 @@ def _repair_head(account, res, moved, nm, b, depth):
         return res  # nothing to merge with
     sub = Queue(account, Crest, res.Bq, res.D, _front_element(Crest, res.Bq, res.D))
     if not sub.C:
+        # kept: the state of bias's second step
         sub = _bias_step(account, sub, depth + 1)
     if not sub.C:
         _panic(sub, "repair could not surface a successor record")
