@@ -40,11 +40,13 @@ Ordering facts maintained across operations (checked by validate):
       the dirty deques;
     - a nonempty version has a clean record, and bias, which keeps every live
       element, never returns a version without records;
+    - the head rule: a version an operation hands out that holds more than
+      one record has a clean head of at least b words;
     - the structure counter delta(Q) = |C| - sum |D_i| - k + 1 is nonnegative
       between operations. Bias raises it by at least one, touching O(1)
       records near deque ends. A lone catenation or delete_min lowers it by
       a known bound and then biases as often: the general catenation once or
-      twice, delete_min once per record its head refill merges.
+      twice, delete_min once, when its refill merges a record.
 
 The first element of the first record is therefore the global minimum; every
 version caches it, which makes find_min free.
@@ -705,43 +707,30 @@ def delete_min(Q: Queue) -> tuple[Element, Queue]:
                 return el, _keep(account, Queue(account, PDeque.empty(), PDeque.empty(), (), None))
             rec = _new_record(account, rest_buf)
             return el, _keep(account, Queue(account, PDeque.of([rec]), PDeque.empty(), (), rest_buf.first))
-        aggravated = 0
         if len(rest_buf) >= b:
             res = Queue(account, C.replace_first(_new_record(account, rest_buf)), Bq, D, rest_buf.first)
         else:
-            # refill the head to b..3b words. Bias never empties a version, so
-            # C2, Bq or D is nonempty at each turn, and parts at each exit
+            # refill the head to b..3b words from the next clean record. By
+            # the head rule r held at least b words, so rest_buf holds b - 1
+            # and one record refills it. A lone clean record is followed by
+            # at most one dirty record, as delta(Q) >= 0, so when r was the
+            # only clean record one bias surfaces the next one
             C2 = C.rest()
-            parts = rest_buf.tolist()
-            guard = 0
-            while True:
-                guard += 1
-                if guard > 64:
-                    _panic(Q, "head refill did not terminate")
-                if not C2:
-                    tmp = bias(Queue(account, C2, Bq, D, _front_element(C2, Bq, D)))
-                    C2, Bq, D = tmp.C, tmp.Bq, tmp.D
-                    continue
-                nxt = C2.first()
-                _load(account, nxt)
-                if nxt.size <= 2 * b:
-                    parts = parts + nxt.buf.tolist()
-                    C2 = C2.rest()
-                    aggravated += 1
-                    if len(parts) >= b or not (C2 or Bq or D):
-                        break
-                    # kept: needs a head of under b words ahead of more records
-                    continue
+            if not C2:
+                tmp = bias(Queue(account, C2, Bq, D, _front_element(C2, Bq, D)))
+                C2, Bq, D = tmp.C, tmp.Bq, tmp.D
+            nxt = C2.first()
+            _load(account, nxt)
+            if nxt.size <= 2 * b:
+                headrec = _new_record(account, _Buf.of(rest_buf.tolist() + nxt.buf.tolist()))
+                # the merge lowered delta by one from delta(Q) >= 0; one bias
+                # restores it, or leaves the version all clean (delta |C| + 1)
+                res = bias(Queue(account, C2.rest().push(headrec), Bq, D, headrec.buf.first))
+            else:
                 take = b if nxt.size <= 3 * b else 2 * b
-                parts = parts + nxt.buf.prefix(take).tolist()
                 C2 = C2.replace_first(_new_record(account, nxt.buf.drop_front(take)))
-                break
-            headrec = _new_record(account, _Buf.of(parts))
-            res = Queue(account, C2.push(headrec), Bq, D, headrec.buf.first)
-        # each merged record lowered delta by one from delta(Q) >= 0; each bias
-        # restores one, or leaves the version all clean (delta |C| + 1)
-        for _ in range(aggravated):
-            res = bias(res)
+                headrec = _new_record(account, _Buf.of(rest_buf.tolist() + nxt.buf.prefix(take).tolist()))
+                res = Queue(account, C2.push(headrec), Bq, D, headrec.buf.first)
         return el, _keep(account, res)
 
 
@@ -769,21 +758,13 @@ def drain(Q: Queue, *, below=None) -> list[Element]:
 
 
 def bias(Q: Queue) -> Queue:
-    """Raise delta(Q) by at least one. No-op on all-clean or empty versions."""
+    """One bias step: raise delta(Q) by at least one, or leave Q all clean.
+    No-op on all-clean or empty versions."""
     if Q.cached_min is None or (not Q.Bq and not Q.D):
         return Q
     account = Q.account
     with account.operation(Q):
-        target = delta(Q) + 1
-        res = _bias_step(account, Q, 0)
-        # kept: only an empty C ahead of two or more dirty records needs it
-        guard = 0
-        while delta(res) < target and (res.Bq or res.D):
-            res = _bias_step(account, res, 0)
-            guard += 1
-            if guard > 64:
-                _panic(res, "bias failed to make progress")
-        return _keep(account, res)
+        return _keep(account, _bias_step(account, Q, 0))
 
 
 def _bias_step(account: IoAccount, Q: Queue, depth: int) -> Queue:
@@ -799,7 +780,7 @@ def _bias_step(account: IoAccount, Q: Queue, depth: int) -> Queue:
     if Bq:
         # no dirty deques, so nothing behind Bq attrites it: fold it clean
         return Queue(account, C.catenate(Bq), PDeque.empty(), (), nm)
-    return _bias_absorb(account, C, D, nm, b, depth)
+    return _bias_absorb(account, C, D, nm, b)
 
 
 def _combine_pair(account, l1p: list[Element], r2: Record, b: int, allow_takes: bool):
@@ -884,7 +865,7 @@ def _bias_dirty_pair(account, C, Bq, D, nm, b):
     return Queue(account, C, Bq, D[:-2] + (left.catenate(right),), nm)
 
 
-def _bias_absorb(account, C, D, nm, b, depth):
+def _bias_absorb(account, C, D, nm, b):
     # k == 1 and no buffer deque: surface the first dirty buffer as a clean
     # record and splice its child in, attrited by what remains dirty.
     d1 = D[0]
@@ -911,11 +892,11 @@ def _bias_absorb(account, C, D, nm, b, depth):
         else:
             res = Queue(account, newC.catenate(Cc), Bc, Dc + Dres, nm)
     if not C and r.size <= 2 * b:
-        res = _repair_head(account, res, moved, nm, b, depth)
+        res = _repair_head(account, res, moved, nm, b)
     return res
 
 
-def _repair_head(account, res, moved, nm, b, depth):
+def _repair_head(account, res, moved, nm, b):
     # A short record was surfaced to the very front: merge it with its
     # successor so the head stays comfortably sized.
     first_rec, Crest = res.C.pop()
@@ -923,23 +904,22 @@ def _repair_head(account, res, moved, nm, b, depth):
         _panic(res, "surfaced record is not at the front")
     if not Crest and not res.Bq and not res.D:
         return res  # nothing to merge with
-    sub = Queue(account, Crest, res.Bq, res.D, _front_element(Crest, res.Bq, res.D))
-    if not sub.C:
-        # kept: the state of bias's second step
-        sub = _bias_step(account, sub, depth + 1)
-    if not sub.C:
-        _panic(sub, "repair could not surface a successor record")
-    r2 = sub.C.first()
+    # bias meets an empty C only ahead of at most one dirty record (delta >=
+    # 0, or _cat_general's fresh one), the one surfaced here, so whatever is
+    # left behind it starts with its child's clean records
+    if not Crest:
+        _panic(res, "repair could not surface a successor record")
+    r2 = Crest.first()
     _load(account, moved)
     _load(account, r2)
     comb = moved.buf.tolist() + r2.buf.tolist()
     if len(comb) > 3 * b:
         head = _new_record(account, _Buf.of(comb[: 2 * b]))
         tail = _new_record(account, _Buf.of(comb[2 * b :]), r2.child)
-        newC = sub.C.replace_first(tail).push(head)
+        newC = Crest.replace_first(tail).push(head)
     else:
-        newC = sub.C.replace_first(_new_record(account, _Buf.of(comb), r2.child))
-    return Queue(account, newC, sub.Bq, sub.D, nm)
+        newC = Crest.replace_first(_new_record(account, _Buf.of(comb), r2.child))
+    return Queue(account, newC, res.Bq, res.D, nm)
 
 
 # -- folding a prepared sequence -----------------------------------------------
@@ -1139,11 +1119,15 @@ def _validate_one(q: Queue, b: int) -> list[str]:
 
 def validate(Q: Queue) -> list[str]:
     """All invariant violations reachable from this version, a version's
-    before its children's; [] when sound."""
+    before its children's; [] when sound. The head rule binds only Q, and
+    only once an operation has handed it out (_keep)."""
     account = Q.account
     b = account.cfg.b
+    bad = []
+    if Q.focal is not None and Q.C and record_count(Q) > 1 and Q.C.first().size < b:
+        bad.append("q%d head-rule: handed-out clean head holds under b words" % Q.qid)
     with account.suspended():
-        return ["q%d %s" % (q.qid, msg) for q in _versions(Q) for msg in _validate_one(q, b)]
+        return bad + ["q%d %s" % (q.qid, msg) for q in _versions(Q) for msg in _validate_one(q, b)]
 
 
 # -- debugging -----------------------------------------------------------------

@@ -404,3 +404,31 @@ def test_anticorrelated_run_per_op_charges():
     anticorrelated_run(16, 1 / 2, trail)
     assert len(trail) == 121
     assert hashlib.sha256(repr(trail).encode()).hexdigest()[:16] == "7c365ac06dd427c2"
+
+
+# bias is one step. That each step makes progress, raising delta by at least
+# one or leaving the version all clean, is checked here rather than by a
+# repeat loop at run time. cpqa's own calls go through the module global.
+def test_every_bias_step_makes_progress(monkeypatch):
+    calls = []
+    bias = cpqa.bias
+
+    def checked(q):
+        out = bias(q)
+        if q.Bq or q.D:
+            calls.append(q.qid)
+            assert not (out.Bq or out.D) or cpqa.delta(out) > cpqa.delta(q), cpqa.dump(q)
+        return out
+
+    monkeypatch.setattr(cpqa, "bias", checked)
+    # the digests' seven pairs at seed 35, then seeds 1-3 as in
+    # test_focal_records_match_the_reference
+    for B, b in [(64, 16), (16, 4), (8, 2), (32, 6), (8, 1), (8, 3), (256, 40)]:
+        run_stream(B, b, drift_stream(35, 2000))
+    for B, b in [(8, 1), (8, 2), (8, 3), (16, 4), (32, 6), (64, 16)]:
+        for seed in (1, 2, 3):
+            run_stream(B, b, drift_stream(seed, 2000))
+    drift = len(calls)
+    anticorrelated_run(64, 1 / 3)
+    anticorrelated_run(16, 1 / 2)
+    assert (drift, len(calls) - drift) == (9049, 2387)

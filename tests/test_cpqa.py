@@ -876,6 +876,19 @@ def test_validate_flags_a_fault_in_a_child_version():
     ]
 
 
+# delete_min refills a head of b - 1 words from one record, so a handed-out
+# version of several records must lead with b words. A version built by hand
+# and never handed out is not held to it (see the short version in
+# test_concat_sequence_rejects_unbalanced_input).
+def test_validate_holds_handed_out_versions_to_the_head_rule():
+    acct = mk_account(b=4)
+    q = version(acct, C=[rec(acct, [1, 2, 3]), rec(acct, [5, 6, 7, 8])], low=1)
+    assert cpqa.validate(q) == []
+    with acct.operation():
+        cpqa._keep(acct, q)
+    assert cpqa.validate(q) == ["q%d head-rule: handed-out clean head holds under b words" % q.qid]
+
+
 def drift_versions(acct, seed, count, pool=4, warm=50):
     """Versions from a stream over a pool of slots: warm inserts per slot,
     then inserts just above (now and then below) the source slot's top key

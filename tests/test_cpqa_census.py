@@ -62,16 +62,6 @@ CORPUS = (
 # (function, source line) of each line left unreached, with why it stays.
 ALLOWED = Counter(
     {
-        # delete_min's refill turns again only when the head held under b
-        # words ahead of other records; no operation was seen to hand such a
-        # head out, and random streams never reached this line
-        ("delete_min", "continue"): 1,
-        # a bias step falls short only from an empty C ahead of two or more
-        # dirty records, which only that refill turn would bias
-        ("bias", "res = _bias_step(account, res, 0)"): 1,
-        ("bias", "guard += 1"): 1,
-        ("bias", "if guard > 64:"): 1,
-        ("_repair_head", "sub = _bias_step(account, sub, depth + 1)"): 1,
         # a version reached twice from one version: two of its records
         # share a child, which needs operands that share a dirty record
         # with a child and a catenation that keeps both
