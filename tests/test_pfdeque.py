@@ -9,11 +9,20 @@ from hypothesis import strategies as st
 from skyq.pfdeque import EmptyDequeError, PDeque
 
 
+def agrees(d, ref):
+    """d is a deque, not a bare tuple, and its length, truth, indexing and
+    iteration all agree with the list ref."""
+    assert type(d) is PDeque
+    assert len(d) == len(ref)
+    assert bool(d) is bool(ref)
+    assert [d[i] for i in range(len(ref))] == ref
+    assert [d[-i] for i in range(1, len(ref) + 1)] == ref[::-1]
+    assert list(d) == ref
+
+
 def test_empty():
     d = PDeque.empty()
-    assert len(d) == 0
-    assert not d
-    assert list(d) == []
+    agrees(d, [])
     with pytest.raises(EmptyDequeError):
         d.first()
     with pytest.raises(EmptyDequeError):
@@ -116,8 +125,8 @@ def test_random_op_equivalence():
     rng = random.Random(9)
     d = PDeque.empty()
     ref = []
-    for _ in range(2000):
-        pick = rng.randrange(6)
+    for step in range(2000):
+        pick = rng.randrange(10)
         if pick == 0:
             x = rng.randrange(1000)
             d = d.push(x)
@@ -139,7 +148,15 @@ def test_random_op_equivalence():
         elif pick == 5 and ref:
             i = rng.randrange(len(ref))
             assert d.get(i) == ref[i]
-        assert len(d) == len(ref)
+        elif pick == 6 and ref:
+            d, ref = d.rest(), ref[1:]
+        elif pick == 7 and ref:
+            d, ref = d.front(), ref[:-1]
+        elif pick == 8 and ref:
+            d, ref = d.replace_first(-step), [-step] + ref[1:]
+        elif pick == 9 and ref:
+            d, ref = d.replace_last(-step), ref[:-1] + [-step]
+        agrees(d, ref)
     assert list(d) == ref
 
 
@@ -179,9 +196,22 @@ def test_replace_ends_match_a_list_model():
 
 def test_replace_ends_of_one_item_and_empty_deques():
     one = PDeque.of([7])
-    assert list(one.replace_first(8)) == [8]
-    assert list(one.replace_last(9)) == [9]
-    assert list(one) == [7]
+    agrees(one.replace_first(8), [8])
+    agrees(one.replace_last(9), [9])
+    agrees(one, [7])
     for replace in (PDeque.empty().replace_first, PDeque.empty().replace_last):
         with pytest.raises(EmptyDequeError):
             replace(1)
+
+
+def test_one_item_and_empty_deques_stay_deques():
+    one, none = PDeque.of([7]), PDeque.empty()
+    assert one.pop()[0] == one.eject()[0] == 7
+    for got in (one.pop()[1], one.eject()[1], one.rest(), one.front(), none.catenate(none)):
+        agrees(got, [])
+    for got in (one.catenate(none), none.catenate(one), none.push(7), none.inject(7)):
+        agrees(got, [7])
+    agrees(one.catenate(one), [7, 7])
+    for method in (none.pop, none.eject, none.rest, none.front):
+        with pytest.raises(EmptyDequeError):
+            method()
