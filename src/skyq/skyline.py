@@ -11,25 +11,25 @@ point after it, into one record (cpqa.from_run). An internal node's
 staircase is the attriting catenation of its children's staircases, which
 the queues fold in O(1) block transfers per node.
 
-An update is one walk down to its leaf (_path), charged once, and one loop
-back up that keeps each path node's count and extent but refolds
+Every node but the root holds between its floor, max(1, capacity // 4)
+items, and its capacity. The bulk build cuts each level into runs of b
+points or fanout children, and a last run under its floor joins the one
+before it (joined points past b split evenly in two), so no node starts
+below its floor, and updates keep it so. An update is one walk down to its leaf (_path), charged once, and
+one walk back up (_settle), shared by insert and delete. A node over
+capacity splits in half, the halves refreshed right first; a node under its
+floor is merged with a neighbour by its parent, and split again if the
+merged list is over capacity; either refolds the parent. Other nodes refold
 staircases only where they can change. One hiding rule (_hides) says where:
 a key is hidden by the keys after it when it is not below one of them, and
 an attriting catenation then drops it. A point gained or lost that the
 points to its right in its leaf hide is on no staircase and dominates
-nothing its hider does not, so the leaf keeps its queue version (unless it
-splits or merges), and so does every node above it. Otherwise the update
-refolds up to the first ancestor whose changed child has its old and new
-minima hidden by its right siblings' staircases: the fold attrites that
-child wholly, so the ancestor and every node above it keep their versions.
-A refold folds only the children that rule leaves visible. A node over
-capacity splits in half, the halves refreshed right first. A node left with
-fewer than max(1, capacity // 4) items merges with a neighbour, and splits
-again if the merged list is over capacity. A split or a merge always
-refolds the parent. The bulk build can leave a node under that threshold
-(its stray-group rule catches only a last group of one child), so a delete
-tests every path node for underflow: the first delete routed through such a
-node merges it, even one that keeps every staircase.
+nothing its hider does not, so the leaf keeps its queue version. Otherwise
+the walk refolds up to the first ancestor whose changed child has its old
+and new minima hidden by its right siblings' staircases: the fold attrites
+that child wholly. The walk stops at the first node that keeps its
+staircase and its size; it and every node above it only recount. A refold
+folds only the children that the hiding rule leaves visible.
 
 A 3-sided query (x in [lo, hi], y >= ymin) is one right-to-left descent to
 the band's O(log n) canonical pieces along its two boundary paths: whole
@@ -196,6 +196,7 @@ class SkylineIndex:
     def __contains__(self, point) -> bool:
         if self.root is None:
             return False
+        point = (point[0], point[1])
         return point in self._path(point[0])[0][-1].items
 
     def counters(self) -> IoCounters:
@@ -226,7 +227,8 @@ class SkylineIndex:
         the band whose key is below best; return the least key appended, or
         best if none."""
         self._charge_node(node)
-        if node.count == 0 or node.xmax < lo or node.xmin > hi:
+        # no node is empty: every node but the root holds its floor of items
+        if node.xmax < lo or node.xmin > hi:
             return best
         if lo <= node.xmin and node.xmax <= hi:
             q = node.queue
@@ -244,7 +246,8 @@ class SkylineIndex:
                         best = key
             return best
         for ch in reversed(node.items):
-            if ch.xmax is not None and ch.xmax >= lo and ch.xmin <= hi:
+            # a child holds its floor of items, so its extent is set
+            if ch.xmax >= lo and ch.xmin <= hi:
                 best = self._report(ch, lo, hi, best, out)
         return best
 
@@ -258,29 +261,12 @@ class SkylineIndex:
                 return
             nodes, route = self._path(point[0])
             self.account.charge_read_blocks(sum([n.price for n in nodes]))
-            k = len(nodes) - 1
-            node = nodes[k]
-            items = node.items
+            items = nodes[-1].items
             j = bisect_left(items, point)
             if (j < len(items) and items[j][0] == point[0]) or (j and items[j - 1][0] == point[0]):
                 raise ValueError("duplicate x coordinate: %r" % (point[0],))
             items.insert(j, point)
-            keep = len(items) <= self.b and _hides(map(skyline_key, items[j + 1 :]), (skyline_key(point),))
-            while not keep:
-                old = node.queue
-                split = self._refresh_or_split(node)
-                if k == 0:
-                    if split is not None:
-                        self.root = self._node(False, [node, split])
-                    return
-                k -= 1
-                node, i = nodes[k], route[k]
-                if split is not None:
-                    node.items.insert(i + 1, split)
-                keep = split is None and self._child_hidden(node, i, old)
-            # node keeps its staircase, and so does every node above it
-            for node in nodes[k::-1]:
-                self._recount(node, node.count + 1)
+            self._settle(nodes, route, _hides(map(skyline_key, items[j + 1 :]), (skyline_key(point),)), 1)
 
     def delete(self, point) -> bool:
         point = (point[0], point[1])
@@ -294,29 +280,40 @@ class SkylineIndex:
             if j == len(items) or items[j] != point:
                 return False
             del items[j]
-            keep = _hides(map(skyline_key, items[j:]), (skyline_key(point),))
-            for k in range(len(nodes) - 1, -1, -1):
-                node = nodes[k]
-                old = node.queue
-                # a node that underflows and has a sibling is merged by its
-                # parent, which refreshes the merged node, so it is not
-                # refreshed here
-                merge = k > 0 and len(nodes[k - 1].items) > 1 and len(node.items) < self._floor[node.leaf]
-                if keep:
-                    self._recount(node, node.count - 1)
-                elif not merge:
-                    self._refresh(node)
-                if merge:
-                    self._rebalance_child(nodes[k - 1], route[k - 1])
-                    keep = False
-                elif k and not keep:
-                    keep = self._child_hidden(nodes[k - 1], route[k - 1], old)
-            if self.root.count == 0:
-                self.root = None
-            else:
-                while not self.root.leaf and len(self.root.items) == 1:
-                    self.root = self.root.items[0]
+            self._settle(nodes, route, _hides(map(skyline_key, items[j:]), (skyline_key(point),)), -1)
         return True
+
+    def _settle(self, nodes: list, route: list, keep: bool, step: int) -> None:
+        """Walk up from the leaf nodes[-1], which gained (step 1) or lost
+        (step -1) a point and kept its staircase if keep: split, merge or
+        refresh each node as its size and staircase ask, up to the first
+        node that keeps both, where it and the nodes above only recount."""
+        for k in range(len(nodes) - 1, -1, -1):
+            node = nodes[k]
+            if k and len(node.items) < self._floor[node.leaf]:
+                # the parent has a sibling to merge with: it holds its floor
+                # of fanout // 2 >= 2 children, or is a root of at least two
+                self._rebalance_child(nodes[k - 1], route[k - 1])
+                keep = False
+                continue
+            if keep and len(node.items) <= self._capacity[node.leaf]:
+                # no underflow test above: only the walk changes node sizes
+                for node in nodes[k::-1]:
+                    self._recount(node, node.count + step)
+                return
+            old = node.queue
+            split = self._refresh_or_split(node)
+            if k == 0:
+                break
+            if split is not None:
+                nodes[k - 1].items.insert(route[k - 1] + 1, split)
+            keep = split is None and self._child_hidden(nodes[k - 1], route[k - 1], old)
+        if split is not None:
+            self.root = self._node(False, [node, split])
+        elif not node.items:
+            self.root = None
+        elif not node.leaf and len(node.items) == 1:
+            self.root = node.items[0]
 
     # -- node maintenance ----------------------------------------------------------
 
@@ -371,20 +368,17 @@ class SkylineIndex:
             q = self._fold_points(items)
             count = len(items)
         else:
-            queues = []
-            low = None
+            # every child holds a point, so every staircase has a minimum
+            queues, low = [], None
             for ch in reversed(items):
-                m = ch.queue.cached_min
-                if m is not None and (low is None or m.key < low):
-                    low = m.key
+                m = ch.queue.cached_min.key
+                if low is None or m < low:
+                    low = m
                     queues.append(ch.queue)
-            if queues:
-                queues.reverse()
-                for q in queues:
-                    cpqa.bring_in(q)
-                q = cpqa.concat_sequence(queues)
-            else:
-                q = cpqa.empty(self.account)
+            queues.reverse()
+            for q in queues:
+                cpqa.bring_in(q)
+            q = cpqa.concat_sequence(queues)
             count = sum(ch.count for ch in items)
         node.queue = q
         node.price = 1 + -(-sum(r.size for r in cpqa.critical_records(q)) // self.B)
@@ -414,33 +408,32 @@ class SkylineIndex:
         return right
 
     def _bulk_build(self, pts: list) -> None:
+        # a last run under its floor joins the one before it: joined children
+        # stay under 2 * fanout, and joined points past b split evenly
         with self.account.operation():
-            b = self.b
-            level = [self._node(True, pts[i : i + b]) for i in range(0, len(pts), b)]
-            fan = self.fanout
-            while len(level) > 1:
-                nxt: list[_Node] = []
-                for i in range(0, len(level), fan):
-                    group = level[i : i + fan]
-                    if len(group) == 1 and nxt:
-                        # a stray child joins the previous group, which then
-                        # holds fanout + 1 <= 2 * fanout children
-                        group = nxt.pop().items + group
-                    nxt.append(self._node(False, group))
-                level = nxt
+            level, leaf = pts, True
+            while leaf or len(level) > 1:
+                n = len(level)
+                starts = list(range(0, n, self.b if leaf else self.fanout))
+                if len(starts) > 1 and n - starts[-1] < self._floor[leaf]:
+                    starts.pop()
+                    if n - starts[-1] > self._capacity[leaf]:
+                        starts.append((starts[-1] + n) // 2)
+                level = [self._node(leaf, level[i:j]) for i, j in zip(starts, starts[1:] + [n])]
+                leaf = False
             self.root = level[0]
 
     def _child_hidden(self, node: _Node, i: int, old) -> bool:
         """Whether child i, whose staircase was old, leaves node's as it was:
         its version is unchanged, or its right siblings hide its old and new
-        minima (an empty staircase has none). concat_sequence folds right to
-        left and _catenate(q, acc) returns acc untouched when acc's minimum
-        key is <= q's, so the fold, and the bias that ends it, skip it."""
+        minima (it holds its floor of items, so both exist). concat_sequence
+        folds right to left and _catenate(q, acc) returns acc untouched when
+        acc's minimum key is <= q's, so the fold and its bias skip it."""
         new = node.items[i].queue
         if new is old:
             return True
-        later = [ch.queue.cached_min.key for ch in node.items[i + 1 :] if ch.queue.cached_min is not None]
-        return _hides(later, [q.cached_min.key for q in (old, new) if q.cached_min is not None])
+        later = [ch.queue.cached_min.key for ch in node.items[i + 1 :]]
+        return _hides(later, (old.cached_min.key, new.cached_min.key))
 
     def _rebalance_child(self, node: _Node, idx: int) -> None:
         # merge the child with a neighbour; an over-full merge splits again

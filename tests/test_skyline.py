@@ -48,6 +48,7 @@ def test_empty_index():
     assert idx.maxima() == []
     assert idx.query3(0, 100, 0) == []
     assert (1, 1) not in idx
+    assert not idx.delete((1, 1))
 
 
 def test_hand_case_maxima():
@@ -147,6 +148,14 @@ def test_delete_missing_point_returns_false():
     assert len(idx) == 2
     assert idx.delete((1, 1))
     assert len(idx) == 1
+
+
+def test_membership_takes_any_point_sequence_as_delete_does():
+    idx = SkylineIndex([(1, 2), (3, 4)])
+    assert [1, 2] in idx and (1, 2) in idx
+    assert [1, 3] not in idx and [5, 5] not in idx
+    assert idx.delete([1, 2])
+    assert [1, 2] not in idx
 
 
 def test_delete_to_empty_and_rebuild():
@@ -374,6 +383,7 @@ STRUCTURAL_OUTCOMES = {
 
 def _check_subtree(idx, node):
     """Assert the node invariants below node; return its points in x order."""
+    assert node is idx.root or len(node.items) >= idx._floor[node.leaf]
     if node.leaf:
         pts = list(node.items)
         assert len(pts) <= idx.b
@@ -688,23 +698,44 @@ def test_underflowing_leaf_is_refreshed_only_by_its_merge(monkeypatch):
     assert idx.maxima() == naive_maxima(live)
 
 
-def test_first_delete_through_a_bulk_built_underflow_merges_it():
-    # 19 leaves in groups of fanout 8 give the root children of 8, 8 and 3
-    # leaves; the build's stray-group rule joins only a last group of one,
-    # so the last child starts under max(1, 16 // 4). (256, 164) is hidden
-    # by the points after it in its leaf, so deleting it keeps every
-    # staircase, yet the root merges that child
+def test_bulk_build_joins_a_short_last_run_so_a_hidden_delete_keeps_every_node():
+    # 19 leaves in runs of fanout 8 leave a last run of 3, under
+    # max(1, 16 // 4), which joins the run before it: the root's children
+    # hold 8 and 11 leaves. (256, 164) is hidden by the points after it in
+    # its leaf, so deleting it keeps every node's staircase and size
     pts = [(i, 7919 * i % 300) for i in range(300)]
     idx = SkylineIndex(pts, B=64, epsilon=1 / 3)
-    assert [len(ch.items) for ch in idx.root.items] == [8, 8, 3]
-    leaf = idx.root.items[2].items[0]
-    assert leaf.items[0] == (256, 164)
-    old = leaf.queue
+    assert [len(ch.items) for ch in idx.root.items] == [8, 11]
+    assert idx._path(256)[0][-1].items[0] == (256, 164)
+    before = _node_queues(idx.root)
     assert idx.delete((256, 164))
-    assert leaf.queue is old
+    assert [node for node, _ in _node_queues(idx.root)] == [node for node, _ in before]
+    assert all(node.queue is q for node, q in before)
     assert [len(ch.items) for ch in idx.root.items] == [8, 11]
     _check_subtree(idx, idx.root)
     assert idx.maxima() == naive_maxima(pts[:256] + pts[257:])
+
+
+def test_bulk_build_splits_a_short_last_leaf_run_evenly_with_the_one_before():
+    # runs of b = 16 points leave a last run of 3, under max(1, 16 // 4);
+    # joined with the run before it, the 19 points pass b and split 9 + 10
+    pts = [(i, (37 * i) % 35) for i in range(35)]
+    idx = SkylineIndex(pts, B=64, epsilon=1 / 3)
+    assert [len(leaf.items) for leaf in idx.root.items] == [16, 9, 10]
+    _check_subtree(idx, idx.root)
+    assert idx.maxima() == naive_maxima(pts)
+
+
+# the tree's shape depends only on n: 100,003 leaves a last run of 3 points
+# at b = 16 and at b = 40, and most sizes leave a short run of children
+@pytest.mark.parametrize("B, epsilon", [(64, 1 / 3), (16, 1 / 2), (256, 1 / 3)])
+@pytest.mark.parametrize("n", [300, 1000, 10_000, 20_000, 100_003])
+def test_bulk_build_holds_every_node_at_its_floor(B, epsilon, n):
+    rng = random.Random(n)
+    pts = list(zip(rng.sample(range(10 * n), n), rng.sample(range(10 * n), n)))
+    idx = SkylineIndex(pts, B=B, epsilon=epsilon)
+    _check_subtree(idx, idx.root)
+    assert len(idx) == n
 
 
 def _catenate_then_drain(idx, lo, hi, ym):
