@@ -15,21 +15,25 @@ Every node but the root holds between its floor, max(1, capacity // 4)
 items, and its capacity. The bulk build cuts each level into runs of b
 points or fanout children, and a last run under its floor joins the one
 before it (joined points past b split evenly in two), so no node starts
-below its floor, and updates keep it so. An update is one walk down to its leaf (_path), charged once, and
-one walk back up (_settle), shared by insert and delete. A node over
-capacity splits in half, the halves refreshed right first; a node under its
-floor is merged with a neighbour by its parent, and split again if the
-merged list is over capacity; either refolds the parent. Other nodes refold
-staircases only where they can change. One hiding rule (_hides) says where:
-a key is hidden by the keys after it when it is not below one of them, and
-an attriting catenation then drops it. A point gained or lost that the
-points to its right in its leaf hide is on no staircase and dominates
-nothing its hider does not, so the leaf keeps its queue version. Otherwise
-the walk refolds up to the first ancestor whose changed child has its old
-and new minima hidden by its right siblings' staircases: the fold attrites
-that child wholly. The walk stops at the first node that keeps its
-staircase and its size; it and every node above it only recount. A refold
-folds only the children that the hiding rule leaves visible.
+below its floor, and updates keep it so. An update is one walk down to its
+leaf (_path), charged once, and one walk back up (_settle), shared by
+insert and delete. A node over capacity splits in half, the halves
+refreshed right first; a node under its floor is merged with a neighbour by
+its parent, and split again if the merged list is over capacity; either
+refolds the parent. Other nodes refold staircases only where they can
+change. One hiding rule (_hides) says where: a key is hidden by the keys
+after it when it is not below one of them, and an attriting catenation then
+drops it. A point gained or lost that the points to its right in its leaf
+hide is on no staircase and dominates nothing its hider does not, so the
+leaf keeps its queue version; as x is distinct, the leaf tests this by
+height alone: some point to the right is at least as high. Otherwise the walk refolds up to the first ancestor whose
+changed child has its old and new minima hidden by its right siblings'
+staircases: the fold attrites that child wholly. From the first node that
+keeps its staircase and its size, the walk only resets extents, and it
+stops at the first node whose extent does not move: a node's extent is its
+end children's, so no node above moves either. Nodes keep no point count;
+the index keeps one. A refold folds only the children that the hiding rule
+leaves visible.
 
 A 3-sided query (x in [lo, hi], y >= ymin) is one right-to-left descent to
 the band's O(log n) canonical pieces along its two boundary paths: whole
@@ -127,6 +131,16 @@ def _hides(later, keys) -> bool:
     return True
 
 
+def _hidden_in_leaf(items, j, y) -> bool:
+    """Whether a point at height y just left of items[j:] is hidden by them:
+    one is at least as high. x is distinct and increases along items, so
+    this is _hides over their skyline keys."""
+    for i in range(j, len(items)):
+        if items[i][1] >= y:
+            return True
+    return False
+
+
 def _point(p) -> tuple:
     x, y = p[0], p[1]
     if x != x or y != y:
@@ -150,7 +164,7 @@ class _Node:
     """A leaf's points or an internal node's children, in x order, and the
     staircase and extent they make up."""
 
-    __slots__ = ("leaf", "items", "queue", "price", "xmin", "xmax", "count")
+    __slots__ = ("leaf", "items", "queue", "price", "xmin", "xmax")
 
     def __init__(self, leaf: bool, items: list):
         self.leaf = leaf
@@ -159,7 +173,6 @@ class _Node:
         self.price = 0
         self.xmin = None
         self.xmax = None
-        self.count = 0
 
 
 class SkylineIndex:
@@ -185,13 +198,14 @@ class SkylineIndex:
         for i in range(1, len(pts)):
             if pts[i - 1][0] == pts[i][0]:
                 raise ValueError("duplicate x coordinate: %r" % (pts[i][0],))
+        self._count = len(pts)  # live points
         if pts:
             self._bulk_build(pts)
 
     # -- observation ---------------------------------------------------------
 
     def __len__(self) -> int:
-        return self.root.count if self.root else 0
+        return self._count
 
     def __contains__(self, point) -> bool:
         if self.root is None:
@@ -232,7 +246,8 @@ class SkylineIndex:
             return best
         if lo <= node.xmin and node.xmax <= hi:
             q = node.queue
-            if _hides((best,), (q.cached_min.key,)):
+            if not q.cached_min.key < best:
+                # best hides the staircase's minimum, so all of it
                 return best
             cpqa.bring_in(q)
             out += [el.payload for el in reversed(cpqa.drain(q, below=best))]
@@ -258,36 +273,39 @@ class SkylineIndex:
         with self.account.operation():
             if self.root is None:
                 self.root = self._node(True, [point])
+                self._count = 1
                 return
-            nodes, route = self._path(point[0])
-            self.account.charge_read_blocks(sum([n.price for n in nodes]))
+            nodes, route, price = self._path(point[0])
+            self.account.charge_read_blocks(price)
             items = nodes[-1].items
             j = bisect_left(items, point)
             if (j < len(items) and items[j][0] == point[0]) or (j and items[j - 1][0] == point[0]):
                 raise ValueError("duplicate x coordinate: %r" % (point[0],))
             items.insert(j, point)
-            self._settle(nodes, route, _hides(map(skyline_key, items[j + 1 :]), (skyline_key(point),)), 1)
+            self._count += 1
+            self._settle(nodes, route, _hidden_in_leaf(items, j + 1, point[1]))
 
     def delete(self, point) -> bool:
         point = (point[0], point[1])
         if self.root is None:
             return False
         with self.account.operation():
-            nodes, route = self._path(point[0])
-            self.account.charge_read_blocks(sum([n.price for n in nodes]))
+            nodes, route, price = self._path(point[0])
+            self.account.charge_read_blocks(price)
             items = nodes[-1].items
             j = bisect_left(items, point)
             if j == len(items) or items[j] != point:
                 return False
             del items[j]
-            self._settle(nodes, route, _hides(map(skyline_key, items[j:]), (skyline_key(point),)), -1)
+            self._count -= 1
+            self._settle(nodes, route, _hidden_in_leaf(items, j, point[1]))
         return True
 
-    def _settle(self, nodes: list, route: list, keep: bool, step: int) -> None:
-        """Walk up from the leaf nodes[-1], which gained (step 1) or lost
-        (step -1) a point and kept its staircase if keep: split, merge or
-        refresh each node as its size and staircase ask, up to the first
-        node that keeps both, where it and the nodes above only recount."""
+    def _settle(self, nodes: list, route: list, keep: bool) -> None:
+        """Walk up from the leaf nodes[-1], which gained or lost a point and
+        kept its staircase if keep: split, merge or refresh each node as its
+        size and staircase ask, up to the first node that keeps both; from
+        there only extents move, up to the first node whose extent stays."""
         for k in range(len(nodes) - 1, -1, -1):
             node = nodes[k]
             if k and len(node.items) < self._floor[node.leaf]:
@@ -297,9 +315,11 @@ class SkylineIndex:
                 keep = False
                 continue
             if keep and len(node.items) <= self._capacity[node.leaf]:
-                # no underflow test above: only the walk changes node sizes
+                # no underflow test above: only the walk changes node sizes,
+                # and a parent's extent is its end children's
                 for node in nodes[k::-1]:
-                    self._recount(node, node.count + step)
+                    if not self._recount(node):
+                        break
                 return
             old = node.queue
             split = self._refresh_or_split(node)
@@ -317,23 +337,21 @@ class SkylineIndex:
 
     # -- node maintenance ----------------------------------------------------------
 
-    def _child_for(self, node: _Node, x) -> "tuple[int, _Node]":
-        """The index and the child whose x range routes x: the first whose
-        xmax is at least x, or the last."""
-        items = node.items
-        i = bisect_left(items, x, 0, len(items) - 1, key=_XMAX)
-        return i, items[i]
-
-    def _path(self, x) -> "tuple[list[_Node], list[int]]":
-        """The nodes from the root to the leaf that routes x, and the index
-        of each internal one's child on the way."""
+    def _path(self, x) -> "tuple[list[_Node], list[int], int]":
+        """The nodes from the root to the leaf that routes x, the index of
+        each internal one's child on the way, and the sum of their prices.
+        A node routes x to its first child whose xmax is at least x, or its
+        last."""
         node = self.root
-        nodes, route = [node], []
+        nodes, route, price = [node], [], node.price
         while not node.leaf:
-            i, node = self._child_for(node, x)
+            items = node.items
+            i = bisect_left(items, x, 0, len(items) - 1, key=_XMAX)
+            node = items[i]
             nodes.append(node)
             route.append(i)
-        return nodes, route
+            price += node.price
+        return nodes, route, price
 
     def _charge_node(self, node: _Node) -> None:
         self.account.charge_read_blocks(node.price)
@@ -341,10 +359,11 @@ class SkylineIndex:
     def _fold_points(self, pts):
         # the staircase of points in x order: right to left, a point survives
         # only if it is higher than every point after it
-        keep = []
+        keep, top = [], None
         for p in reversed(pts):
-            if not keep or p[1] > keep[-1].payload[1]:
+            if top is None or p[1] > top:
                 keep.append(cpqa.Element(skyline_key(p), p))
+                top = p[1]
         keep.reverse()
         return cpqa.from_run(self.account, keep)
 
@@ -354,10 +373,10 @@ class SkylineIndex:
         return node
 
     def _refresh(self, node: _Node) -> None:
-        """Rebuild the node's staircase, count and extent from its items.
+        """Rebuild the node's staircase and extent from its items.
 
-        Updates call it where a staircase may change (see _hides); every
-        other node on the path only recounts. The fold takes only the
+        Updates call it where a staircase may change (see _hides); above
+        that only extents are reset (_recount). The fold takes only the
         children whose minimum is below every right sibling's: the right to
         left fold's _catenate(q, acc) returns acc untouched for any other.
         It first brings their critical records into the operation's memory,
@@ -366,7 +385,6 @@ class SkylineIndex:
         items = node.items
         if node.leaf:
             q = self._fold_points(items)
-            count = len(items)
         else:
             # every child holds a point, so every staircase has a minimum
             queues, low = [], None
@@ -379,20 +397,22 @@ class SkylineIndex:
             for q in queues:
                 cpqa.bring_in(q)
             q = cpqa.concat_sequence(queues)
-            count = sum(ch.count for ch in items)
         node.queue = q
         node.price = 1 + -(-sum(r.size for r in cpqa.critical_records(q)) // self.B)
-        self._recount(node, count)
+        self._recount(node)
 
-    def _recount(self, node: _Node, count: int) -> None:
-        """Set node's count and reset its extent from its items; an update
-        that keeps node's staircase does only this."""
+    def _recount(self, node: _Node) -> bool:
+        """Reset node's extent from its items and return whether it moved;
+        an update that keeps node's staircase does only this."""
         items = node.items
-        node.count = count
         if node.leaf:
-            node.xmin, node.xmax = (items[0][0], items[-1][0]) if items else (None, None)
+            extent = (items[0][0], items[-1][0]) if items else (None, None)
         else:
-            node.xmin, node.xmax = items[0].xmin, items[-1].xmax
+            extent = (items[0].xmin, items[-1].xmax)
+        if extent == (node.xmin, node.xmax):
+            return False
+        node.xmin, node.xmax = extent
+        return True
 
     def _refresh_or_split(self, node: _Node) -> "_Node | None":
         """Refresh the node, or split it in half when it is over capacity and

@@ -391,7 +391,8 @@ def _check_subtree(idx, node):
         assert len(node.items) <= 2 * idx.fanout
         pts = [p for ch in node.items for p in _check_subtree(idx, ch)]
     assert all(p[0] < q[0] for p, q in zip(pts, pts[1:]))
-    assert node.count == len(pts)
+    if node is idx.root:
+        assert len(idx) == len(pts)
     assert (node.xmin, node.xmax) == ((pts[0][0], pts[-1][0]) if pts else (None, None))
     with idx.account.suspended():
         assert [el.payload for el in cpqa.drain(node.queue)] == naive_maxima(pts)
@@ -573,6 +574,59 @@ def test_update_hidden_in_its_leaf_keeps_every_staircase():
     assert idx.maxima() == naive_maxima(sorted(live))
 
 
+def test_hidden_update_recounts_up_to_the_first_node_whose_extent_stays(monkeypatch):
+    idx = _staircase_index()
+    live = _staircase_points()
+    parent = idx.root.items[0]
+    leaf = parent.items[0]
+    recounted = []
+    recount = SkylineIndex._recount
+    monkeypatch.setattr(
+        SkylineIndex, "_recount", lambda self, node: recounted.append(node) or recount(self, node)
+    )
+    # (70, 70) tops the first leaf and hides every point left of it. A point
+    # in the middle leaves the leaf's extent, so no node above is recounted;
+    # one left of every point moves every extent on its path
+    for op, p, want in (
+        ("delete", (30, 30), [leaf]),
+        ("insert", (-5, 1), [leaf, parent, idx.root]),
+        ("delete", (-5, 1), [leaf, parent, idx.root]),
+        ("insert", (35, 5), [leaf]),
+    ):
+        before = _node_queues(idx.root)
+        recounted.clear()
+        if op == "delete":
+            assert idx.delete(p)
+            live.remove(p)
+        else:
+            idx.insert(p)
+            live.append(p)
+        assert recounted == want
+        assert all(node.queue is q for node, q in before)
+        _check_subtree(idx, idx.root)
+        pts = sorted(live)
+        for lo, hi, ym in ((-5, -5, 0), (-10, 5, float("-inf")), (-5, 100, 0), (pts[0][0], 630, 1)):
+            assert idx.query3(lo, hi, ym) == naive_query3(pts, lo, hi, ym)
+    assert idx.root.xmin == 0
+
+
+def test_refused_updates_keep_the_point_count_and_an_emptied_index_restarts_it():
+    pts = [(x, 10 * x % 7) for x in range(10)]
+    idx = SkylineIndex(pts, B=16, epsilon=0.5)
+    stairs = idx.maxima()
+    with pytest.raises(ValueError):
+        idx.insert((4, 9))
+    with pytest.raises(ValueError):
+        idx.insert((11, float("nan")))
+    assert not idx.delete((4, 9))
+    assert len(idx) == 10 and idx.maxima() == stairs
+    for p in pts:
+        assert idx.delete(p)
+    assert len(idx) == 0 and idx.root is None
+    idx.insert((3, 3))
+    assert len(idx) == 1 and idx.maxima() == [(3, 3)]
+
+
 def test_hidden_point_into_a_full_leaf_still_splits_it():
     idx = _staircase_index()
     parent = idx.root.items[0]
@@ -610,7 +664,8 @@ def test_uniform_update_charges_one_fetch_per_path_node():
             want += 1 + -(-words // idx.B)
             if node.leaf:
                 break
-            node = idx._child_for(node, x)[1]
+            # the first child whose xmax is at least x routes it, else the last
+            node = next((ch for ch in node.items if ch.xmax >= x), node.items[-1])
         reads = idx.counters().reads
         if x in live:
             idx.insert(p)
@@ -747,7 +802,7 @@ def _catenate_then_drain(idx, lo, hi, ym):
         # canonical cover of the x-band, in x order: a whole node's queue, or
         # the in-band points of a leaf the band cuts
         idx._charge_node(node)
-        if node.count == 0 or node.xmax < lo or node.xmin > hi:
+        if node.xmax < lo or node.xmin > hi:
             return
         if lo <= node.xmin and node.xmax <= hi:
             pieces.append(node.queue)
@@ -757,7 +812,7 @@ def _catenate_then_drain(idx, lo, hi, ym):
                 pieces.append(pts)
         else:
             for ch in node.items:
-                if ch.xmax is not None and ch.xmax >= lo and ch.xmin <= hi:
+                if ch.xmax >= lo and ch.xmin <= hi:
                     decompose(ch, pieces)
 
     pieces = []
