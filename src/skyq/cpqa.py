@@ -17,10 +17,14 @@ Representation. A version holds three groups of record deques:
 
 A record is an immutable (buffer, child) pair. Buffers are strictly
 increasing element runs of at most 5b words, stored as views into shared
-append-only backings so that cutting or extending a run never copies what it
-keeps. The physical element order of a version is C, Bq, D_1 .. D_k, each
-record contributing its buffer and then its child's elements. Queues holding
-fewer than b elements are a single short simple record in C.
+append-only backings. A record made from one buffer's words is a view of it,
+so cutting or extending a run never copies what it keeps; only a join of two
+runs copies (_Buf.join). _join is the one merge-or-split: a short run joins
+the record behind it, and a join over its cap leaves a head of 2b words and
+the rest of that record as a view. The physical element order of a version
+is C, Bq, D_1 .. D_k, each record contributing its buffer and then its
+child's elements. Queues holding fewer than b elements are a single short
+simple record in C.
 
 Insertion is catenation with a one-element unit version. When the fences
 allow the catenation only to append the element to the physically last
@@ -185,6 +189,16 @@ class _Buf:
     def of(cls, items) -> "_Buf":
         backing = _Backing(items)
         return cls(backing, 0, len(backing))
+
+    @staticmethod
+    def join(left: "_Buf", right: "_Buf") -> "_Buf":
+        """left's words, then right's. Only a join of two nonempty runs
+        copies; when one side is empty the other is the answer as it is."""
+        if left.start == left.stop:
+            return right
+        if right.start == right.stop:
+            return left
+        return _Buf.of(left.backing[left.start : left.stop] + right.backing[right.start : right.stop])
 
     def __len__(self) -> int:
         return self.stop - self.start
@@ -481,6 +495,26 @@ def _replace_tail(C: PDeque, Bq: PDeque, D: tuple[PDeque, ...], rec: Record):
     return C.replace_last(rec), Bq, D
 
 
+def _join(account: IoAccount, items: _Buf, rec: Record, child: "Queue | None", cap: int):
+    """Put items, a run of at most 2b words below rec's buffer, in front of
+    that buffer: (None, one record) when the two fit in cap words, else
+    (a head of exactly 2b words, the rest of rec's buffer as a view). Either
+    way the last record carries child. Only the words joined are copied."""
+    _load(account, rec)
+    n = items.stop - items.start
+    if n + rec.size <= cap:
+        return None, _new_record(account, _Buf.join(items, rec.buf), child)
+    take = 2 * account.cfg.b - n
+    head = _new_record(account, _Buf.join(items, rec.buf.prefix(take)))
+    return head, _new_record(account, rec.buf.drop_front(take), child)
+
+
+def _put_front(dq: PDeque, head: Record | None, rec: Record) -> PDeque:
+    """dq with rec in place of its first record, and head, if any, before it."""
+    dq = dq.replace_first(rec)
+    return dq if head is None else dq.push(head)
+
+
 # -- catenation --------------------------------------------------------------
 
 
@@ -543,19 +577,11 @@ def _cat_small_left(account, Q1, Q2, e, new_min, b):
     # Q1 is one short simple record: fold its survivors into Q2's first record.
     r1 = Q1.C.first()
     _load(account, r1)
-    # e is above Q1's minimum, the first key of r1 (_catenate), so keep
+    # e is above Q1's minimum, the first key of r1 (_catenate), so the cut
     # holds at least that key
-    keep = r1.buf.cut_lt(e).tolist()
     r2 = Q2.C.first()
-    _load(account, r2)
-    if len(keep) + r2.size <= 4 * b:
-        merged = _new_record(account, _Buf.of(keep + r2.buf.tolist()), r2.child)
-        return Queue(account, Q2.C.replace_first(merged), Q2.Bq, Q2.D, new_min)
-    # keep the head record at exactly 2b, leave the remainder behind it
-    take = 2 * b - len(keep)
-    head = _new_record(account, _Buf.of(keep + r2.buf.prefix(take).tolist()))
-    tail = _new_record(account, r2.buf.drop_front(take), r2.child)
-    return Queue(account, Q2.C.replace_first(tail).push(head), Q2.Bq, Q2.D, new_min)
+    head, r2new = _join(account, r1.buf.cut_lt(e), r2, r2.child, 4 * b)
+    return Queue(account, _put_front(Q2.C, head, r2new), Q2.Bq, Q2.D, new_min)
 
 
 def _cat_small_right(account, Q1, Q2, e, new_min, b):
@@ -583,7 +609,7 @@ def _cat_small_right(account, Q1, Q2, e, new_min, b):
         if len(keep) + rq2.size > cap:
             return None
         _load(account, rq2)
-        merged = _new_record(account, _Buf.of(keep.tolist() + rq2.buf.tolist()))
+        merged = _new_record(account, _Buf.join(keep, rq2.buf))
         return Queue(account, *_replace_tail(*_drop_tail(C1, B1, D1), merged), new_min)
     if e <= r_last.max_key:
         # partial cut kills the tail's upper run and its child
@@ -592,7 +618,7 @@ def _cat_small_right(account, Q1, Q2, e, new_min, b):
         if len(keep) + rq2.size > cap:
             return None
         _load(account, rq2)
-        merged = _new_record(account, _Buf.of(keep.tolist() + rq2.buf.tolist()))
+        merged = _new_record(account, _Buf.join(keep, rq2.buf))
         return Queue(account, *_replace_tail(C1, B1, D1, merged), new_min)
     if r_last.child is not None:
         return None  # the new run must land after the live child
@@ -642,24 +668,16 @@ def _cat_general(account, Q1, Q2, e, new_min, b, seq):
         res = Queue(account, C1, keepB, (PDeque.of([newrec]),), new_min)
     else:
         # some dirty elements survive: open a new dirty deque at the tail
-        newD = D1
-        keep_items: list[Element] = []
-        dk = newD[-1]
-        tail = dk.last()
+        newD, keep = D1, None
+        tail = D1[-1].last()
         if tail.size < b:
             # short simple tail: cut it into the new deque
             _load(account, tail)
-            _, rest_dk = dk.eject()
-            newD = newD[:-1] + (rest_dk,) if rest_dk else newD[:-1]
-            keep_items = tail.buf.cut_lt(e).tolist()
-        if keep_items and len(keep_items) + l2rec.size <= 4 * b:
-            _load(account, l2rec)
-            recs = [_new_record(account, _Buf.of(keep_items + l2rec.buf.tolist()), rest)]
-        elif keep_items:
-            take = 2 * b - len(keep_items)
-            _load(account, l2rec)
-            head = _new_record(account, _Buf.of(keep_items + l2rec.buf.prefix(take).tolist()))
-            recs = [head, _new_record(account, l2rec.buf.drop_front(take), rest)]
+            _, _, newD = _drop_tail(C1, B1, D1)
+            keep = tail.buf.cut_lt(e)
+        if keep:
+            head, last = _join(account, keep, l2rec, rest, 4 * b)
+            recs = [last] if head is None else [head, last]
         else:
             recs = [_new_record(account, l2rec.buf, rest)]
         newD = newD + (PDeque.of(recs),)
@@ -714,14 +732,14 @@ def delete_min(Q: Queue) -> tuple[Element, Queue]:
             nxt = C2.first()
             _load(account, nxt)
             if nxt.size <= 2 * b:
-                headrec = _new_record(account, _Buf.of(rest_buf.tolist() + nxt.buf.tolist()))
+                headrec = _new_record(account, _Buf.join(rest_buf, nxt.buf))
                 # the merge lowered delta by one from delta(Q) >= 0; one bias
                 # restores it, or leaves the version all clean (delta |C| + 1)
                 res = bias(Queue(account, C2.rest().push(headrec), Bq, D, headrec.buf.first))
             else:
                 take = b if nxt.size <= 3 * b else 2 * b
                 C2 = C2.replace_first(_new_record(account, nxt.buf.drop_front(take)))
-                headrec = _new_record(account, _Buf.of(rest_buf.tolist() + nxt.buf.prefix(take).tolist()))
+                headrec = _new_record(account, _Buf.join(rest_buf, nxt.buf.prefix(take)))
                 res = Queue(account, C2.push(headrec), Bq, D, headrec.buf.first)
         return el, _keep(account, res)
 
@@ -775,8 +793,9 @@ def _bias_step(account: IoAccount, Q: Queue, depth: int) -> Queue:
     return _bias_absorb(account, C, D, nm, b)
 
 
-def _combine_pair(account, l1p: list[Element], r2: Record, b: int, allow_takes: bool):
-    """Attach a surviving run l1p just below record r2.
+def _combine_pair(account, l1p: _Buf, r2: Record, b: int, allow_takes: bool):
+    """Attach a surviving run l1p, a view of the buffer it was cut from, just
+    below record r2.
 
     Returns (kind, replacement_for_r2, standalone_record). kind "prepend"
     merges into r2's buffer; "standalone" leaves r2 (possibly shortened) and
@@ -786,30 +805,17 @@ def _combine_pair(account, l1p: list[Element], r2: Record, b: int, allow_takes: 
     """
     n1 = len(l1p)
     n2 = r2.size
-    if n1 == 0:
-        if allow_takes and n2 > 2 * b:
-            _load(account, r2)
-            stand = _new_record(account, r2.buf.prefix(b))
-            return "standalone", _new_record(account, r2.buf.drop_front(b), r2.child), stand
+    if n1 == 0 and not (allow_takes and n2 > 2 * b):
         return "prepend", r2, None
-    if n1 < b and allow_takes:
-        _load(account, r2)
-        if n2 <= 2 * b:
-            return "prepend", _new_record(account, _Buf.of(l1p + r2.buf.tolist()), r2.child), None
-        stand = _new_record(account, _Buf.of(l1p + r2.buf.prefix(b).tolist()))
-        return "standalone", _new_record(account, r2.buf.drop_front(b), r2.child), stand
-    if n1 < 2 * b and n2 <= 2 * b and n1 + n2 <= 3 * b:
-        _load(account, r2)
-        return "prepend", _new_record(account, _Buf.of(l1p + r2.buf.tolist()), r2.child), None
+    if n1 < 2 * b and n2 <= 2 * b and (allow_takes or n1 + n2 <= 3 * b):
+        stand, r2new = _join(account, l1p, r2, r2.child, 3 * b)
+        return ("prepend" if stand is None else "standalone"), r2new, stand
     if allow_takes and n1 < 2 * b:
+        # r2 is long: its first b words go down with the survivors
         _load(account, r2)
-        if n2 <= 2 * b:
-            comb = l1p + r2.buf.tolist()
-            stand = _new_record(account, _Buf.of(comb[: 2 * b]))
-            return "standalone", _new_record(account, _Buf.of(comb[2 * b :]), r2.child), stand
-        stand = _new_record(account, _Buf.of(l1p + r2.buf.prefix(b).tolist()))
+        stand = _new_record(account, _Buf.join(l1p, r2.buf.prefix(b)))
         return "standalone", _new_record(account, r2.buf.drop_front(b), r2.child), stand
-    return "standalone", r2, _new_record(account, _Buf.of(l1p))
+    return "standalone", r2, _new_record(account, l1p)
 
 
 def _bias_buffer(account, C, Bq, D, nm, b, depth):
@@ -824,7 +830,7 @@ def _bias_buffer(account, C, Bq, D, nm, b, depth):
     keep = r1.buf.cut_lt(e)
     attrited = len(keep) < r1.size
     b_gone = attrited or not Brest
-    kind, r2new, stand = _combine_pair(account, keep.tolist(), r2, b, b_gone)
+    kind, r2new, stand = _combine_pair(account, keep, r2, b, b_gone)
     newB = PDeque.empty() if b_gone else Brest
     newD = (d1.replace_first(r2new),) + D[1:]
     if kind == "prepend":
@@ -848,11 +854,8 @@ def _bias_dirty_pair(account, C, Bq, D, nm, b):
         _load(account, r1)
         keep = r1.buf.cut_lt(e)
         rest = left.front()
-        kind, r2new, stand = _combine_pair(account, keep.tolist(), right.first(), b, True)
-        right2 = right.replace_first(r2new)
-        if stand is not None:
-            right2 = right2.push(stand)
-        merged = rest.catenate(right2)
+        kind, r2new, stand = _combine_pair(account, keep, right.first(), b, True)
+        merged = rest.catenate(_put_front(right, stand, r2new))
         return Queue(account, C, Bq, D[:-2] + (merged,), nm)
     return Queue(account, C, Bq, D[:-2] + (left.catenate(right),), nm)
 
@@ -889,8 +892,8 @@ def _bias_absorb(account, C, D, nm, b):
 
 
 def _repair_head(account, res, moved, nm, b):
-    # A short record was surfaced to the very front: merge it with its
-    # successor so the head stays comfortably sized.
+    # A short record was surfaced to the very front: join it to its
+    # successor (_join) so the head stays comfortably sized.
     first_rec, Crest = res.C.pop()
     if first_rec is not moved:
         _panic(res, "surfaced record is not at the front")
@@ -902,15 +905,8 @@ def _repair_head(account, res, moved, nm, b):
     if not Crest:
         _panic(res, "repair could not surface a successor record")
     r2 = Crest.first()
-    _load(account, moved)
-    _load(account, r2)
-    comb = moved.buf.tolist() + r2.buf.tolist()
-    if len(comb) > 3 * b:
-        head = _new_record(account, _Buf.of(comb[: 2 * b]))
-        tail = _new_record(account, _Buf.of(comb[2 * b :]), r2.child)
-        newC = Crest.replace_first(tail).push(head)
-    else:
-        newC = Crest.replace_first(_new_record(account, _Buf.of(comb), r2.child))
+    head, r2new = _join(account, moved.buf, r2, r2.child, 3 * b)
+    newC = _put_front(Crest, head, r2new)
     return Queue(account, newC, res.Bq, res.D, nm)
 
 

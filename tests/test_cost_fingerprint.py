@@ -123,7 +123,7 @@ def buffer_shape(q):
 
 @pytest.mark.parametrize(
     "B, b, want",
-    [(64, 16, (17, 380, 4)), (16, 4, (49, 477, 5))],
+    [(64, 16, (17, 347, 4)), (16, 4, (48, 431, 5))],
 )
 def test_drift_stream_fingerprint_and_path_census(monkeypatch, B, b, want):
     seen = set()
@@ -140,24 +140,25 @@ def test_drift_stream_fingerprint_and_path_census(monkeypatch, B, b, want):
 
 
 # Equal totals can hide charges moved between operations; the digest of the
-# per-op sequence cannot.
-@pytest.mark.parametrize(
-    "B, b, want",
-    [
-        (64, 16, "c9636cbf149db28e"),
-        (16, 4, "99b360373df7116e"),
-        (8, 2, "ca5b611143ba2171"),
-        (32, 6, "514a6a7a10f658cb"),
-        (8, 1, "d8caa8885df27606"),
-        (8, 3, "bf0ec1a16cf0b05e"),
-        (256, 40, "92b41e5497ef52fc"),
-    ],
-)
-def test_drift_stream_per_op_charges(B, b, want):
+# per-op sequence cannot. Keyed by (B, b), so a test keeps its name when its
+# digest moves.
+DRIFT_DIGESTS = {
+    (64, 16): "b04c2f1a0ed8c5d2",
+    (16, 4): "fdd5986b1cc1a12a",
+    (8, 2): "6d5767ff49738516",
+    (32, 6): "ccf3ecef22382669",
+    (8, 1): "389ca869a9972d0a",
+    (8, 3): "81d26c0ab9ce6ef5",
+    (256, 40): "40be07274075cc09",
+}
+
+
+@pytest.mark.parametrize("B, b", DRIFT_DIGESTS)
+def test_drift_stream_per_op_charges(B, b):
     trail = []
     run_stream(B, b, drift_stream(35, 2000), trail)
     assert len(trail) == 2000
-    assert hashlib.sha256(repr(trail).encode()).hexdigest()[:16] == want
+    assert hashlib.sha256(repr(trail).encode()).hexdigest()[:16] == DRIFT_DIGESTS[B, b]
 
 
 def catenate_unit_insert(Q, e):
@@ -379,12 +380,12 @@ def anticorrelated_run(B, epsilon, trail=None):
 # Staircases that fall with x leave node queues with dirty deques, so the
 # index reaches bias; the uniform runs above never do. Their staircases
 # also fill records of b words and more, which index operations write back
-# (285 of the writes are the 121 timed operations', the rest the build's).
+# (277 of the writes are the 121 timed operations', the rest the build's).
 def test_skyline_run_reads_anticorrelated(monkeypatch):
     calls = []
     bias = cpqa.bias
     monkeypatch.setattr(cpqa, "bias", lambda q: calls.append(q) or bias(q))
-    assert anticorrelated_run(64, 1 / 3) == (2109, 385, True)
+    assert anticorrelated_run(64, 1 / 3) == (2109, 377, True)
     assert calls
 
 
@@ -403,7 +404,7 @@ def test_anticorrelated_run_per_op_charges():
     trail = []
     anticorrelated_run(16, 1 / 2, trail)
     assert len(trail) == 121
-    assert hashlib.sha256(repr(trail).encode()).hexdigest()[:16] == "7c365ac06dd427c2"
+    assert hashlib.sha256(repr(trail).encode()).hexdigest()[:16] == "15beb7e1ffa4babf"
 
 
 # bias is one step. That each step makes progress, raising delta by at least

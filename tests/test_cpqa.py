@@ -25,6 +25,7 @@ from skyq.cpqa import (
     Queue,
 )
 from skyq.pfdeque import PDeque
+from test_cost_fingerprint import drift_stream, run_stream
 
 
 def mk_account(b=4, B=64, M=1 << 20):
@@ -371,6 +372,61 @@ REACH_WITNESSES = {
 @pytest.mark.parametrize("name", REACH_WITNESSES)
 def test_reach_witness(name):
     replay_slots(*REACH_WITNESSES[name])
+
+
+# Only a join of two runs copies words: a record whose words all lie in one
+# buffer it was made from is a view of that buffer's backing, so the
+# write-back charges nothing for words already flushed there. The spies
+# check the sites that copied such words: the tails of _repair_head's and
+# _combine_pair's 2b splits, _combine_pair's standalone run of survivors,
+# and the heads that hold one buffer's words because the other side is empty
+# (a 2b run surfaced by bias, and delete_min's refill at b = 1).
+def test_a_record_holding_one_buffers_words_is_a_view_of_it(monkeypatch):
+    seen = set()
+
+    def view(rec, src, site):
+        if set(rec.buf.tolist()) <= set(src.tolist()):
+            assert rec.buf.backing is src.backing, site
+            seen.add(site)
+
+    combine, repair, delete_min = cpqa._combine_pair, cpqa._repair_head, cpqa.delete_min
+
+    def combine_spy(account, l1p, r2, b, allow_takes):
+        out = kind, r2new, stand = combine(account, l1p, r2, b, allow_takes)
+        if kind == "standalone" and l1p:
+            if r2new is r2:
+                view(stand, l1p, "standalone survivors")
+            elif r2.size <= 2 * b:
+                view(r2new, r2.buf, "_combine_pair 2b split tail")
+        return out
+
+    def repair_spy(account, res, moved, nm, b):
+        out = repair(account, res, moved, nm, b)
+        if len(res.C) > 1 and moved.size + res.C[1].size > 3 * b:
+            view(out.C[0], moved.buf, "_repair_head 2b head")
+            view(out.C[1], res.C[1].buf, "_repair_head split tail")
+        return out
+
+    def delete_min_spy(q):
+        el, out = delete_min(q)
+        if len(q.C) > 1 and q.C[0].size == q.account.cfg.b == 1:
+            view(out.C[0], q.C[1].buf, "refill at b = 1")
+        return el, out
+
+    monkeypatch.setattr(cpqa, "_combine_pair", combine_spy)
+    monkeypatch.setattr(cpqa, "_repair_head", repair_spy)
+    monkeypatch.setattr(cpqa, "delete_min", delete_min_spy)
+    for case in REACH_WITNESSES.values():
+        replay_slots(*case)
+    run_stream(16, 4, drift_stream(35, 2000))
+    run_stream(8, 1, drift_stream(35, 2000))
+    assert seen == {
+        "standalone survivors",
+        "_combine_pair 2b split tail",
+        "_repair_head 2b head",
+        "_repair_head split tail",
+        "refill at b = 1",
+    }
 
 
 def test_nan_key_is_refused(monkeypatch):
