@@ -11,7 +11,7 @@ Cost model used by the queue layer:
   the exact buffer run (backing array, start, stop), so records that share a
   run share its residency. A record's run key is fixed when the record is
   made; records are immutable, so it never goes stale. A run is in memory
-  when (a) the record is explicitly pinned, (b) the run belongs to the
+  when (a) the run is explicitly pinned, (b) the run belongs to the
   working set of an operand version, or (c) the operation created or read it
   earlier. A version's working set is fixed once, when an operation first
   hands the version out: its focal records (first/last few records of each
@@ -27,7 +27,8 @@ Cost model used by the queue layer:
   charged; only record buffers count.
 - Pinning is explicit, bounded by M, and never charges by itself; exceeding
   M sets a violation flag rather than raising, so a run can be inspected
-  afterwards.
+  afterwards. A pin's handle is a record's run, the key every residency test
+  uses, so pinning one record pins every record that views the same run.
 
 Everything charges through an IoAccount; tests can temporarily suspend
 charging.
@@ -37,16 +38,18 @@ working sets and the write-back: the outermost scope seeds its operand
 versions' working sets on entry, and on exit writes back every flush
 candidate that no version it handed out keeps in memory. That holds for
 every outermost operation, a queue operation, an index operation or a
-caller's own scope; the operations nested in it charge into it. This
-module reads records and versions by duck typing: a record's run, rid,
-buf (start, stop, backing.flushed), and a version's resident records.
+caller's own scope; the operations nested in it charge into it. The
+outermost scope reads its block total off the counters: the charges only
+move the counters, and the scope takes the difference on exit. This
+module reads records and versions by duck typing: a record's run and buf
+(start, stop, backing.flushed), and a version's resident records.
 
 An account is used by one thread at a time. Its open operation, nesting
 depth, suspension count and pin table are plain attributes with no locking.
 The queue layer reads the open operation (_op) as an attribute on its hot
-path, and asks is_pinned() when it loads a record; the write-back reads the
-pin table (_pinned) directly. current_op() and depth() return the open
-operation and the nesting depth.
+path, and both it and the write-back test a run against the pin table
+(_pinned) directly. current_op() and depth() return the open operation and
+the nesting depth.
 Entering an operation or a suspended scope claims the account for the
 calling thread; that thread may nest further scopes, while any other thread
 that tries to enter one before the claim ends gets RuntimeError.
@@ -54,8 +57,8 @@ that tries to enter one before the claim ends gets RuntimeError.
 
 from __future__ import annotations
 
-import json
 import threading
+from collections.abc import Hashable
 from dataclasses import dataclass
 
 __all__ = [
@@ -116,15 +119,6 @@ class IoCounters:
             self.peak_pinned_words,
         )
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "reads": self.reads,
-                "writes": self.writes,
-                "peak_pinned": self.peak_pinned_words,
-            }
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, IoCounters):
             return NotImplemented
@@ -150,8 +144,8 @@ class IoAccount:
         self.violation = False
         self.max_op_blocks = 0
         self.last_op_blocks = 0
-        self._registry: dict[int, int] = {}
-        self._pinned: dict[int, int] = {}
+        self._registry: dict[Hashable, int] = {}
+        self._pinned: dict[Hashable, int] = {}
         self._pinned_words = 0
         self._op: _Operation | None = None
         self._depth = 0
@@ -160,15 +154,16 @@ class IoAccount:
 
     # -- registry and pins ------------------------------------------------
 
-    def register(self, handle: int, words: int) -> None:
-        """Make a handle of the given size pinnable. The registration lasts
-        until the handle is unpinned."""
+    def register(self, handle: Hashable, words: int) -> None:
+        """Make a handle of the given size pinnable; the queue layer's handle
+        is a record's run (Record.run). The registration lasts until the
+        handle is unpinned."""
         self._registry[handle] = words
 
-    def pin(self, handle: int) -> None:
-        """Mark a record as memory-resident. Flags (not raises) if pins exceed M."""
+    def pin(self, handle: Hashable) -> None:
+        """Mark a handle as memory-resident. Flags (not raises) if pins exceed M."""
         if handle not in self._registry:
-            raise PinError("pin of unknown handle %r" % handle)
+            raise PinError("pin of unknown handle %r" % (handle,))
         if handle in self._pinned:
             return
         words = self._registry[handle]
@@ -179,14 +174,14 @@ class IoAccount:
         if self._pinned_words > self.cfg.M:
             self.violation = True
 
-    def unpin(self, handle: int) -> None:
+    def unpin(self, handle: Hashable) -> None:
         """Release a pin and the handle's registration with it."""
         if handle not in self._pinned:
-            raise PinError("unpin of handle %r that is not pinned" % handle)
+            raise PinError("unpin of handle %r that is not pinned" % (handle,))
         self._pinned_words -= self._pinned.pop(handle)
         del self._registry[handle]
 
-    def is_pinned(self, handle: int) -> bool:
+    def is_pinned(self, handle: Hashable) -> bool:
         return handle in self._pinned
 
     @property
@@ -200,25 +195,18 @@ class IoAccount:
             return 0
         n = self.cfg.blocks(words)
         self.counters.reads += n
-        if self._op is not None:
-            self._op.blocks += n
         return n
 
     def charge_read_blocks(self, n: int) -> None:
         """Charge n block reads, already counted in blocks."""
-        if self._suspend:
-            return
-        self.counters.reads += n
-        if self._op is not None:
-            self._op.blocks += n
+        if not self._suspend:
+            self.counters.reads += n
 
     def charge_write_words(self, words: int) -> int:
         if self._suspend or words <= 0:
             return 0
         n = self.cfg.blocks(words)
         self.counters.writes += n
-        if self._op is not None:
-            self._op.blocks += n
         return n
 
     # -- operation scoping -------------------------------------------------
@@ -271,10 +259,11 @@ class _Operation:
     the write-back charges nothing at or below it). Those of the operands'
     working sets come first (a record two operands share is listed twice),
     then those created here. kept: the versions the operation hands out;
-    their working sets stay in memory. blocks: the transfers charged.
+    their working sets stay in memory. start: the counters' reads plus
+    writes on entry; the difference on exit is the operation's block total.
     """
 
-    __slots__ = ("account", "operands", "runs", "blocks", "held", "kept")
+    __slots__ = ("account", "operands", "runs", "start", "held", "kept")
 
     def __init__(self, account: IoAccount, operands: tuple):
         self.account = account
@@ -288,7 +277,8 @@ class _Operation:
             return account._op
         account._op = self
         self.runs = runs = set()
-        self.blocks = 0
+        counters = account.counters
+        self.start = counters.reads + counters.writes
         self.held = held = []
         self.kept = []
         b = account.cfg.b
@@ -312,9 +302,11 @@ class _Operation:
         finally:
             account._op = None
             account._depth -= 1
-            account.last_op_blocks = self.blocks
-            if self.blocks > account.max_op_blocks:
-                account.max_op_blocks = self.blocks
+            counters = account.counters
+            blocks = counters.reads + counters.writes - self.start
+            account.last_op_blocks = blocks
+            if blocks > account.max_op_blocks:
+                account.max_op_blocks = blocks
             account._owner.release()
         return None
 
@@ -337,8 +329,9 @@ class _Operation:
         account = self.account
         pinned = account._pinned
         for rec in self.held:
-            bid, start, stop = rec.run
-            if cover.get(bid, -1) >= stop or rec.rid in pinned:
+            run = rec.run
+            bid, start, stop = run
+            if cover.get(bid, -1) >= stop or run in pinned:
                 continue  # pinned, or a run as long on its backing stays resident
             backing = rec.buf.backing
             lo = backing.flushed

@@ -58,8 +58,8 @@ version caches it, which makes find_min free.
 Cost model. Every public operation runs in an account operation scope, and
 residency is tracked by exact buffer run: (backing, start, stop), a key fixed
 when the record is made (Record.run). Reading a record's contents charges
-ceil(size / B) block reads unless its run is in memory: the record is
-pinned, or the run is in an operand version's working set, or this
+ceil(size / B) block reads unless its run is in memory: the run is
+pinned, or it is in an operand version's working set, or this
 operation created or read it already. Record fence keys (min/max), sizes and
 the per-version cached minimum are maintained metadata and free. A version's
 working set is fixed once, when an operation first hands the version out
@@ -78,8 +78,8 @@ it ends. Spine nodes are not charged: a deque is a tuple of records, and
 rewriting an end record (PDeque.replace_first, replace_last) copies that
 tuple and reads nothing.
 critical_records names the records worth pinning or bringing in (bring_in)
-and registers nothing: whoever pins a record registers it with the account
-first.
+and registers nothing: whoever pins a record registers its run with the
+account first, and the pin covers every record that views that run.
 """
 
 from __future__ import annotations
@@ -143,8 +143,6 @@ class Element(NamedTuple):
     payload: Any = None
 
 
-_next_rid = itertools.count(1).__next__
-_next_qid = itertools.count(1).__next__
 _elkey = attrgetter("key")
 
 
@@ -240,12 +238,11 @@ class Record:
     scope, whose records are all created here, so their runs are in already.
     """
 
-    __slots__ = ("buf", "child", "rid", "run")
+    __slots__ = ("buf", "child", "run")
 
     def __init__(self, buf: _Buf, child: "Queue | None" = None):
         self.buf = buf
         self.child = child
-        self.rid = _next_rid()
         self.run = (id(buf.backing), buf.start, buf.stop)
 
     @property
@@ -262,12 +259,8 @@ class Record:
         buf = self.buf
         return buf.backing[buf.stop - 1].key
 
-    @property
-    def simple(self) -> bool:
-        return self.child is None
-
     def __repr__(self) -> str:
-        child = "-" if self.child is None else "q%d" % self.child.qid
+        child = "-" if self.child is None else repr(self.child)
         keys = "%r..%r" % (self.min_key, self.max_key) if self.size else "empty"
         return "(%s,n=%d,child=%s)" % (keys, self.size, child)
 
@@ -289,7 +282,7 @@ def _load(account: IoAccount, rec: Record) -> None:
     run = rec.run
     if run not in scope.runs:
         scope.runs.add(run)
-        if not account.is_pinned(rec.rid):
+        if run not in account._pinned:
             account.charge_read_words(rec.size)
 
 
@@ -341,7 +334,7 @@ class Queue:
     out: its focal records, and those of them whose runs were in memory then.
     """
 
-    __slots__ = ("account", "C", "Bq", "D", "cached_min", "qid", "focal", "resident")
+    __slots__ = ("account", "C", "Bq", "D", "cached_min", "focal", "resident")
 
     def __init__(
         self,
@@ -356,14 +349,13 @@ class Queue:
         self.Bq = Bq
         self.D = D
         self.cached_min = cached_min
-        self.qid = _next_qid()
         self.focal: tuple[Record, ...] | None = None
         self.resident: tuple[Record, ...] = ()
 
     def __repr__(self) -> str:
         if self.cached_min is None:
-            return "<Queue q%d empty>" % self.qid
-        return "<Queue q%d min=%r delta=%d>" % (self.qid, self.cached_min.key, delta(self))
+            return "<Queue empty>"
+        return "<Queue min=%r delta=%d>" % (self.cached_min.key, delta(self))
 
 
 def _panic(Q: Queue, msg: str):
@@ -406,19 +398,17 @@ def empty(account: IoAccount) -> Queue:
     return Queue(account, PDeque.empty(), PDeque.empty(), (), None)
 
 
-def _unit(account: IoAccount, e: Element) -> Queue:
-    # kept like a handed-out version: at b == 1 its one-word buffer would
-    # otherwise be written back when a catenation merges it away. An insert
-    # builds one only when the fences do not let it grow the tail record in
-    # place (insert_and_attrite).
-    rec = _new_record(account, _Buf.of([e]))
-    return _keep(account, Queue(account, PDeque.of([rec]), PDeque.empty(), (), e))
+def _one_record(account: IoAccount, buf: _Buf) -> Queue:
+    """The version of one simple record over buf, kept as an operation hands
+    it out. So is an insert's unit, which the insert catenates instead: at
+    b == 1 its one-word buffer would otherwise be written back when the
+    catenation merges it away."""
+    rec = _new_record(account, buf)
+    return _keep(account, Queue(account, PDeque.of([rec]), PDeque.empty(), (), buf.first))
 
 
 def singleton(account: IoAccount, e) -> Queue:
-    e = _as_element(e)
-    with account.operation():
-        return _unit(account, e)
+    return from_run(account, [e])
 
 
 def from_run(account: IoAccount, elements) -> Queue:
@@ -436,8 +426,7 @@ def from_run(account: IoAccount, elements) -> Queue:
         return empty(account)
     keep.reverse()
     with account.operation():
-        rec = _new_record(account, _Buf.of(keep))
-        return _keep(account, Queue(account, PDeque.of([rec]), PDeque.empty(), (), keep[0]))
+        return _one_record(account, _Buf.of(keep))
 
 
 def find_min(Q: Queue) -> Element:
@@ -544,7 +533,7 @@ def insert_and_attrite(Q: Queue, e) -> Queue:
             r_last = (D[-1] if D else (Q.Bq or Q.C)).last()
             if r_last.child is None and e.key > r_last.max_key and r_last.size < 5 * b:
                 return _keep(account, _grow_tail(account, Q, r_last, [e], m))
-        return _keep(account, _catenate(account, Q, _unit(account, e), False))
+        return _keep(account, _catenate(account, Q, _one_record(account, _Buf.of([e])), False))
 
 
 def _catenate(account: IoAccount, Q1: Queue, Q2: Queue, seq: bool) -> Queue:
@@ -715,8 +704,7 @@ def delete_min(Q: Queue) -> tuple[Element, Queue]:
         if len(C) == 1 and not Bq and not D:
             if len(rest_buf) == 0:
                 return el, _keep(account, Queue(account, PDeque.empty(), PDeque.empty(), (), None))
-            rec = _new_record(account, rest_buf)
-            return el, _keep(account, Queue(account, PDeque.of([rec]), PDeque.empty(), (), rest_buf.first))
+            return el, _one_record(account, rest_buf)
         if len(rest_buf) >= b:
             res = Queue(account, C.replace_first(_new_record(account, rest_buf)), Bq, D, rest_buf.first)
         else:
@@ -871,10 +859,8 @@ def _bias_absorb(account, C, D, nm, b):
     Dres: tuple[PDeque, ...] = (d1rest,) if d1rest else ()
     emin = d1rest.first().min_key if d1rest else None
     child = r.child
-    if child is None or child.cached_min is None:
-        res = Queue(account, newC, PDeque.empty(), Dres, nm)
-    elif emin is not None and emin <= child.cached_min.key:
-        res = Queue(account, newC, PDeque.empty(), Dres, nm)  # child fully dead
+    if child is None or child.cached_min is None or (emin is not None and emin <= child.cached_min.key):
+        res = Queue(account, newC, PDeque.empty(), Dres, nm)  # no child left alive
     else:
         Cc, Bc, Dc = child.C, child.Bq, child.D
         if not Cc:
@@ -928,12 +914,12 @@ def concat_sequence(queues: list[Queue]) -> Queue:
     if not queues:
         raise PreconditionViolatedError("empty sequence")
     account = queues[0].account
-    for q in queues:
+    for i, q in enumerate(queues):
         if q.account is not account:
             raise ConfigMismatchError("queues charge different accounts")
         if (q.Bq or q.D) and delta(q) < 2:
             raise PreconditionViolatedError(
-                "queue q%d has delta %d with %d records" % (q.qid, delta(q), record_count(q))
+                "queue %d of the sequence has delta %d with %d records" % (i, delta(q), record_count(q))
             )
     with account.operation(*queues):
         acc = queues[-1]
@@ -958,9 +944,9 @@ def _versions(Q: Queue) -> Iterator[Queue]:
     stack = [Q]
     while stack:
         q = stack.pop()
-        if q.qid in seen:
+        if id(q) in seen:
             continue
-        seen.add(q.qid)
+        seen.add(id(q))
         yield q
         kids = [rec.child for dq in (q.C, q.Bq, *q.D) for rec in dq if rec.child is not None]
         stack.extend(reversed(kids))
@@ -968,7 +954,7 @@ def _versions(Q: Queue) -> Iterator[Queue]:
 
 def total_records(Q: Queue) -> int:
     """Records reachable from this version, children included."""
-    return len({rec.rid for q in _versions(Q) for dq in (q.C, q.Bq, *q.D) for rec in dq})
+    return len({id(rec) for q in _versions(Q) for dq in (q.C, q.Bq, *q.D) for rec in dq})
 
 
 def _live(Q: Queue, below, load) -> list[Element]:
@@ -1032,7 +1018,7 @@ def _validate_one(q: Queue, b: int) -> list[str]:
         bad.append("shape: empty dirty deque")
         return bad
     dirty_min = front = None
-    rids: set[int] = set()
+    ids: set[int] = set()
     twice = False
     names = ["C", "B"] + ["D%d" % (i + 1) for i in range(len(D))]
     for name, dq in zip(names, (C, Bq, *D)):
@@ -1042,9 +1028,9 @@ def _validate_one(q: Queue, b: int) -> list[str]:
         empty = disorder = oversize = carries = False
         prev = None
         for rec in dq:
-            if rec.rid in rids:
+            if id(rec) in ids:
                 twice = True
-            rids.add(rec.rid)
+            ids.add(id(rec))
             if not rec.size:
                 empty = True
             else:
@@ -1107,34 +1093,36 @@ def _validate_one(q: Queue, b: int) -> list[str]:
 
 def validate(Q: Queue) -> list[str]:
     """All invariant violations reachable from this version, a version's
-    before its children's; [] when sound. The head rule binds only Q, and
-    only once an operation has handed it out (_keep)."""
+    before its children's; [] when sound. Each message names its version
+    qN as dump(Q) does. The head rule binds only Q, q0, and only once an
+    operation has handed it out (_keep)."""
     account = Q.account
     b = account.cfg.b
     bad = []
     if Q.focal is not None and Q.C and record_count(Q) > 1 and Q.C.first().size < b:
-        bad.append("q%d head-rule: handed-out clean head holds under b words" % Q.qid)
+        bad.append("q0 head-rule: handed-out clean head holds under b words")
     with account.suspended():
-        return bad + ["q%d %s" % (q.qid, msg) for q in _versions(Q) for msg in _validate_one(q, b)]
+        return bad + ["q%d %s" % (i, msg) for i, q in enumerate(_versions(Q)) for msg in _validate_one(q, b)]
 
 
 # -- debugging -----------------------------------------------------------------
 
 
 def dump(Q: Queue) -> str:
-    """Text layout of a version and its children, queue ids local to the dump."""
+    """Text layout of a version and its children; qN is the Nth version of
+    _versions(Q), Q itself q0."""
     order = list(_versions(Q))
-    local = {q.qid: i for i, q in enumerate(order)}
+    local = {id(q): i for i, q in enumerate(order)}
 
     def fmt(rec: Record) -> str:
-        child = "-" if rec.child is None else "q%d" % local[rec.child.qid]
+        child = "-" if rec.child is None else "q%d" % local[id(rec.child)]
         keys = "%s..%s" % (rec.min_key, rec.max_key) if rec.size else "empty"
         return "(%s,n=%d,child=%s)" % (keys, rec.size, child)
 
     lines: list[str] = []
-    for q in order:
+    for i, q in enumerate(order):
         mink = "-" if q.cached_min is None else repr(q.cached_min.key)
-        lines.append("queue q%d delta=%d min=%s" % (local[q.qid], delta(q), mink))
+        lines.append("queue q%d delta=%d min=%s" % (i, delta(q), mink))
         lines.append("C: [%s]" % "|".join(fmt(r) for r in q.C))
         lines.append("B: [%s]" % "|".join(fmt(r) for r in q.Bq))
         for i, dq in enumerate(q.D):

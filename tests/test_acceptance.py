@@ -177,16 +177,16 @@ def test_5_prepared_concat_is_read_free():
             q = cpqa.bias(q)
         assert cpqa.delta(q) >= 2
         for rec in cpqa.critical_records(q):
-            if not acct.is_pinned(rec.rid):
-                acct.register(rec.rid, rec.size)
-                acct.pin(rec.rid)
-                pinned.append(rec.rid)
+            if not acct.is_pinned(rec.run):
+                acct.register(rec.run, rec.size)
+                acct.pin(rec.run)
+                pinned.append(rec.run)
         queues.append(q)
     s0 = acct.snapshot()
     acc = cpqa.concat_sequence(queues)
     s1 = acct.snapshot()
-    for rid in pinned:
-        acct.unpin(rid)
+    for run in pinned:
+        acct.unpin(run)
     reads = s1.reads - s0.reads
     ok = reads == 0 and cpqa.validate(acc) == []
     assert cpqa.size_elements(acc) == 2400
@@ -261,16 +261,17 @@ def test_7_persistence_of_node_versions():
 
     # a query burst must leave every node's version handle untouched
     nodes = _walk(idx.root, [])
-    qids_before = [nd.queue.qid for nd in nodes]
+    versions_before = [nd.queue for nd in nodes]
     queries = []
     for _ in range(100):
         lo = rng.randrange(1_000_000)
         hi = lo + rng.randrange(1, 1_000_000 - lo + 1)
         queries.append((lo, hi, rng.randrange(100_000)))
     run1 = [idx.query3(*q) for q in queries]
-    qids_after = [nd.queue.qid for nd in _walk(idx.root, [])]
+    versions_after = [nd.queue for nd in _walk(idx.root, [])]
     run2 = [idx.query3(*q) for q in queries]
-    handles_ok = qids_before == qids_after
+    # both lists hold their versions, so equal ids are the same versions
+    handles_ok = list(map(id, versions_before)) == list(map(id, versions_after))
     repeat_ok = repr(run1) == repr(run2)
 
     # insert-then-delete restores what every node drains to

@@ -166,7 +166,8 @@ def catenate_unit_insert(Q, e):
     e = cpqa._as_element(e)
     account = Q.account
     with account.operation(Q):
-        return cpqa._keep(account, cpqa._catenate(account, Q, cpqa._unit(account, e), False))
+        unit = cpqa._one_record(account, cpqa._Buf.of([e]))
+        return cpqa._keep(account, cpqa._catenate(account, Q, unit, False))
 
 
 # Growing the tail record in place must charge and build exactly what
@@ -176,8 +177,8 @@ def test_insert_grows_the_tail_as_the_unit_catenation_does(monkeypatch, B, b):
     ops = drift_stream(35, 2000)
     inserts = {i for i, op in enumerate(ops) if op[0] == "insert"}
     trail, shapes, units = [], [], set()
-    unit = cpqa._unit
-    monkeypatch.setattr(cpqa, "_unit", lambda account, e: units.add(len(trail)) or unit(account, e))
+    unit = cpqa._one_record
+    monkeypatch.setattr(cpqa, "_one_record", lambda account, buf: units.add(len(trail)) or unit(account, buf))
     run_stream(B, b, ops, trail, shapes)
     direct = inserts - units  # the inserts that made no unit version
     want_trail, want_shapes, grew = [], [], set()
@@ -219,8 +220,8 @@ def focal_reference(Q):
     seen = set()
     uniq = []
     for rec in out:
-        if rec.rid not in seen:
-            seen.add(rec.rid)
+        if id(rec) not in seen:
+            seen.add(id(rec))
             uniq.append(rec)
     return uniq
 
@@ -244,11 +245,11 @@ def test_focal_records_match_the_reference(monkeypatch):
     stack = kept
     while stack:
         q = stack.pop()
-        if q.qid in seen:
+        if id(q) in seen:
             continue
-        seen.add(q.qid)
-        want = [rec.rid for rec in focal_reference(q)]
-        assert [rec.rid for rec in cpqa._focal_records(q)] == want, cpqa.dump(q)
+        seen.add(id(q))
+        want = [id(rec) for rec in focal_reference(q)]
+        assert [id(rec) for rec in cpqa._focal_records(q)] == want, cpqa.dump(q)
         # the shapes in which one record fills two focal positions
         D = q.D
         if len(q.C) == 2:
@@ -298,13 +299,13 @@ def test_replace_tail_matches_eject_then_inject(monkeypatch):
     seen = set()
     shaped = emptied = 0
     for q in kept:
-        if q.qid in seen or q.cached_min is None:
+        if id(q) in seen or q.cached_min is None:
             continue
-        seen.add(q.qid)
+        seen.add(id(q))
         C, Bq, D, slot = eject_tail_reference(q.C, q.Bq, q.D)
         want = inject_tail_reference(C, Bq, D, slot, rec)
         got = cpqa._replace_tail(q.C, q.Bq, q.D, rec)
-        ids = lambda deques: [[r.rid for r in dq] for dq in deques]  # noqa: E731
+        ids = lambda deques: [[id(r) for r in dq] for dq in deques]  # noqa: E731
         assert ids([got[0], got[1], *got[2]]) == ids([want[0], want[1], *want[2]]), cpqa.dump(q)
         # the ejection empties the last dirty deque, and rec lands in the one before
         emptied += len(q.D) > 1 and len(q.D[-1]) == 1
@@ -417,7 +418,7 @@ def test_every_bias_step_makes_progress(monkeypatch):
     def checked(q):
         out = bias(q)
         if q.Bq or q.D:
-            calls.append(q.qid)
+            calls.append(id(q))
             assert not (out.Bq or out.D) or cpqa.delta(out) > cpqa.delta(q), cpqa.dump(q)
         return out
 

@@ -106,7 +106,7 @@ def test_from_run_matches_the_insert_fold(b):
             assert (got_built, got_all) == (want_built, want_all), keys
             assert cpqa.validate(got) == []
             if n:
-                assert len(got.C) == 1 and got.C.first().simple, keys
+                assert len(got.C) == 1 and got.C.first().child is None, keys
                 assert not got.Bq and not got.D, keys
             else:
                 assert cpqa.record_count(got) == 0
@@ -449,9 +449,10 @@ def test_nan_key_is_refused(monkeypatch):
     # grows that record in place, with no unit version
     q = build(acct, range(1, 7))
     tail = q.C.last().buf
-    units = spy_on(monkeypatch, "_unit")
-    assert drained_keys(cpqa.insert_and_attrite(q, 7)) == list(range(1, 8))
+    units = spy_on(monkeypatch, "_one_record")
+    grown_q = cpqa.insert_and_attrite(q, 7)
     assert units == []
+    assert drained_keys(grown_q) == list(range(1, 8))
     grown = len(tail.backing)
     with pytest.raises(ValueError, match="NaN"):
         cpqa.insert_and_attrite(q, nan)
@@ -499,8 +500,8 @@ def test_critical_records_of_a_version_never_handed_out():
     rd = cpqa._new_record(acct, cpqa._Buf.of([Element(10), Element(11)]))
     q = Queue(acct, PDeque.of([rc]), PDeque.empty(), (PDeque.of([rd]),), Element(3))
     assert cpqa.critical_records(q) == (rc, rd)
-    acct.register(rc.rid, rc.size)
-    acct.pin(rc.rid)
+    acct.register(rc.run, rc.size)
+    acct.pin(rc.run)
     assert acct.pinned_words == 2
 
 
@@ -523,6 +524,21 @@ def test_bring_in_makes_critical_records_free_for_the_operation():
         assert acct.counters.reads == 3
         cpqa._load(acct, other)
         assert acct.counters.reads == 3 + math.ceil(other.size / 4) == 6
+
+
+def test_a_pin_covers_every_record_that_views_the_pinned_run():
+    acct = mk_account(b=4, B=4)
+    buf = cpqa._Buf.of([Element(k) for k in range(10)])
+    pinned = cpqa.Record(buf)
+    twin = cpqa.Record(cpqa._Buf(buf.backing, 0, 10))  # a second view of the same run
+    shorter = cpqa.Record(buf.prefix(9))
+    acct.register(pinned.run, pinned.size)
+    acct.pin(pinned.run)
+    with acct.operation():
+        cpqa._load(acct, twin)
+        assert acct.counters.reads == 0
+        cpqa._load(acct, shorter)  # another run of the same backing is cold
+        assert acct.counters.reads == 3
 
 
 def test_queue_operations_nest_in_a_callers_operation(monkeypatch):
@@ -962,16 +978,34 @@ def test_validate_flags(case):
     bad, want = VALIDATE_CASES[case](mk_account())
     out = cpqa.validate(bad)
     for msg in want:
-        assert "q%d %s" % (bad.qid, msg) in out, out
+        assert "q0 %s" % msg in out, out
 
 
 def test_validate_flags_a_fault_in_a_child_version():
     acct = mk_account()
     stale = version(acct, C=[rec(acct, [50, 51, 52, 53])], low=52)
     sound = version(acct, C=[rec(acct, [1, 2, 3, 4])], D=[[rec(acct, [5, 6, 7, 8], stale)]], low=1)
-    assert cpqa.validate(sound) == [
-        "q%d min-cache: cached minimum differs from the physical front" % stale.qid
-    ]
+    assert cpqa.validate(sound) == ["q1 min-cache: cached minimum differs from the physical front"]
+
+
+def test_validate_names_each_version_as_dump_does():
+    # the faulty version is the second child, after a sound one; each qN in
+    # a message is the version dump prints as "queue qN", here by its cached
+    # minimum, 72, which no other version holds
+    acct = mk_account(b=4)
+    stale = version(acct, C=[rec(acct, [70, 71, 72, 73])], low=72)
+    sound_child = version(acct, C=[rec(acct, [30, 31, 32, 33])], low=30)
+    top = version(
+        acct,
+        C=[rec(acct, [1, 2, 3, 4]), rec(acct, [5, 6, 7, 8])],
+        D=[[rec(acct, [20, 21, 22, 23], sound_child), rec(acct, [60, 61, 62, 63], stale)]],
+        low=1,
+    )
+    out = cpqa.validate(top)
+    assert out == ["q2 min-cache: cached minimum differs from the physical front"]
+    mins = dict(re.findall(r"^queue (q\d+) delta=-?\d+ min=(\S+)$", cpqa.dump(top), re.M))
+    for msg in out:
+        assert mins[msg.split()[0]] == "72", cpqa.dump(top)
 
 
 # delete_min refills a head of b - 1 words from one record, so a handed-out
@@ -984,7 +1018,7 @@ def test_validate_holds_handed_out_versions_to_the_head_rule():
     assert cpqa.validate(q) == []
     with acct.operation():
         cpqa._keep(acct, q)
-    assert cpqa.validate(q) == ["q%d head-rule: handed-out clean head holds under b words" % q.qid]
+    assert cpqa.validate(q) == ["q0 head-rule: handed-out clean head holds under b words"]
 
 
 def test_dump_and_repr_show_no_keys_for_an_empty_record():
@@ -1029,12 +1063,12 @@ def drift_versions(acct, seed, count, pool=4, warm=50):
 
 
 def count_records(q, seen_q, seen_r):
-    if q.qid in seen_q:
+    if id(q) in seen_q:
         return
-    seen_q.add(q.qid)
+    seen_q.add(id(q))
     for dq in (q.C, q.Bq, *q.D):
         for r in dq:
-            seen_r.add(r.rid)
+            seen_r.add(id(r))
             if r.child is not None:
                 count_records(r.child, seen_q, seen_r)
 
