@@ -95,7 +95,7 @@ class IoConfig:
 
 
 class IoCounters:
-    """Monotone transfer counters; reset() is the only way down."""
+    """Monotone transfer counters: nothing moves them down."""
 
     __slots__ = ("reads", "writes", "peak_pinned_words")
 
@@ -107,25 +107,11 @@ class IoCounters:
     def snapshot(self) -> "IoCounters":
         return IoCounters(self.reads, self.writes, self.peak_pinned_words)
 
-    def reset(self) -> None:
-        self.reads = 0
-        self.writes = 0
-        self.peak_pinned_words = 0
-
     def to_text(self) -> str:
         return "reads=%d writes=%d peak_pinned=%d" % (
             self.reads,
             self.writes,
             self.peak_pinned_words,
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IoCounters):
-            return NotImplemented
-        return (
-            self.reads == other.reads
-            and self.writes == other.writes
-            and self.peak_pinned_words == other.peak_pinned_words
         )
 
     def __repr__(self) -> str:
@@ -184,10 +170,6 @@ class IoAccount:
     def is_pinned(self, handle: Hashable) -> bool:
         return handle in self._pinned
 
-    @property
-    def pinned_words(self) -> int:
-        return self._pinned_words
-
     # -- raw charging ------------------------------------------------------
 
     def charge_read_words(self, words: int) -> int:
@@ -228,12 +210,6 @@ class IoAccount:
 
     def snapshot(self) -> IoCounters:
         return self.counters.snapshot()
-
-    def reset(self) -> None:
-        self.counters.reset()
-        self.max_op_blocks = 0
-        self.last_op_blocks = 0
-        self.violation = False
 
     def _claim(self) -> None:
         # reentrant, so the owner thread nests scopes; others fail at once

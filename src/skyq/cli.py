@@ -151,19 +151,15 @@ def _cmd_bench(args) -> int:
         lo = rng.randrange(10 * n + 10)
         hi = lo + rng.randrange(1, 10 * n + 10 - lo + 1)
         ymin = rng.randrange(10 * n + 10)
-        before = acct.snapshot()
         idx.query3(lo, hi, ymin)
-        after = acct.snapshot()
-        qcost += (after.reads - before.reads) + (after.writes - before.writes)
+        qcost += acct.last_op_blocks
 
     ucost = 0
     updates = args.updates
     fresh = [(10 * n + 11 + i, 10 * n + 11 + i) for i in range(updates)]
     for p in fresh:
-        before = acct.snapshot()
         idx.insert(p)
-        after = acct.snapshot()
-        ucost += (after.reads - before.reads) + (after.writes - before.writes)
+        ucost += acct.last_op_blocks
 
     c = acct.snapshot()
     out = {

@@ -736,20 +736,18 @@ def drain(Q: Queue, *, below=None) -> list[Element]:
     """The live elements with key < below (all of them when below is None),
     in increasing key order; Q itself stays valid.
 
-    Inside an open operation it walks Q's records right to left and reads
-    only the records that hold a reported element, each once (_live). At top
-    level it pops with delete_min: each pop is an operation of its own, with
-    its own write-back.
+    One operation on Q at any depth: it walks Q's records right to left and
+    reads only the records that hold a reported element and lie outside
+    Q's working set, each once (_live). It hands Q back, so its working set
+    stays in memory and the drain writes nothing.
     """
     if below != below:
         raise ValueError("NaN drain bound: %r" % (below,))
-    if Q.account._op is not None:
-        return _live(Q, below, _load)
-    out: list[Element] = []
-    while Q.cached_min is not None and (below is None or Q.cached_min.key < below):
-        el, Q = delete_min(Q)
-        out.append(el)
-    return out
+    account = Q.account
+    with account.operation(Q):
+        out = _live(Q, below, _load)
+        _keep(account, Q)
+        return out
 
 
 # -- rebalancing --------------------------------------------------------------

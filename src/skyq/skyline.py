@@ -21,19 +21,21 @@ insert and delete. A node over capacity splits in half, the halves
 refreshed right first; a node under its floor is merged with a neighbour by
 its parent, and split again if the merged list is over capacity; either
 refolds the parent. Other nodes refold staircases only where they can
-change. One hiding rule (_hides) says where: a key is hidden by the keys
-after it when it is not below one of them, and an attriting catenation then
-drops it. A point gained or lost that the points to its right in its leaf
-hide is on no staircase and dominates nothing its hider does not, so the
-leaf keeps its queue version; as x is distinct, the leaf tests this by
-height alone: some point to the right is at least as high. Otherwise the walk refolds up to the first ancestor whose
-changed child has its old and new minima hidden by its right siblings'
-staircases: the fold attrites that child wholly. From the first node that
-keeps its staircase and its size, the walk only resets extents, and it
-stops at the first node whose extent does not move: a node's extent is its
-end children's, so no node above moves either. Nodes keep no point count;
-the index keeps one. A refold folds only the children that the hiding rule
-leaves visible.
+change. One hiding rule says where: a key is hidden by the keys after it
+when it is not below one of them, that is, when it is at least their least
+(keys are totally ordered tuples, never NaN), and an attriting catenation
+then drops it. A point gained or lost that the points to its right in its
+leaf hide is on no staircase and dominates nothing its hider does not, so
+the leaf keeps its queue version; as x is distinct, the leaf tests this by
+height alone: some point to the right is at least as high
+(_hidden_in_leaf). Otherwise the walk refolds up to the first ancestor
+whose changed child has its old and new minima hidden by its right
+siblings' staircases (_child_hidden): the fold attrites that child wholly.
+From the first node that keeps its staircase and its size, the walk only
+resets extents, and it stops at the first node whose extent does not move:
+a node's extent is its end children's, so no node above moves either. Nodes
+keep no point count; the index keeps one. A refold folds only the children
+that the hiding rule leaves visible.
 
 A 3-sided query (x in [lo, hi], y >= ymin) is one right-to-left descent to
 the band's O(log n) canonical pieces along its two boundary paths: whole
@@ -44,9 +46,9 @@ staircase's minimum, and drained below the key otherwise; each lowers the
 key to its least key. Catenating the pieces keeps an element exactly when it
 is live in its piece and below every key after it, so the descent reports
 what catenating them and draining below (-ymin, x above all) would, without
-building the catenation. The drain runs inside the query's operation, so it
-pops nothing and reads each record that holds a reported point once: about
-one block per b points on top of the node fetches. maxima() is the query
+building the catenation. The drain is one walk inside the query's operation,
+so it reads each record that holds a reported point once: about one block
+per b points on top of the node fetches. maxima() is the query
 over the root's whole extent with ymin = -inf.
 
 Coordinates must not be NaN, and x must be distinct across the live set.
@@ -117,24 +119,10 @@ _ABOVE_ALL = _AboveAll()
 _XMAX = attrgetter("xmax")
 
 
-def _hides(later, keys) -> bool:
-    """Whether each of keys is not below some key in later, which is scanned
-    once per key up to the first such key. A point so hidden is dominated; a
-    staircase whose minimum is so hidden attrites wholly in a catenation
-    with later after it."""
-    for k in keys:
-        for h in later:
-            if not k < h:
-                break
-        else:
-            return False
-    return True
-
-
 def _hidden_in_leaf(items, j, y) -> bool:
     """Whether a point at height y just left of items[j:] is hidden by them:
     one is at least as high. x is distinct and increases along items, so
-    this is _hides over their skyline keys."""
+    this is the hiding rule over their skyline keys."""
     for i in range(j, len(items)):
         if items[i][1] >= y:
             return True
@@ -375,7 +363,7 @@ class SkylineIndex:
     def _refresh(self, node: _Node) -> None:
         """Rebuild the node's staircase and extent from its items.
 
-        Updates call it where a staircase may change (see _hides); above
+        Updates call it where a staircase may change (see _child_hidden); above
         that only extents are reset (_recount). The fold takes only the
         children whose minimum is below every right sibling's: the right to
         left fold's _catenate(q, acc) returns acc untouched for any other.
@@ -453,7 +441,7 @@ class SkylineIndex:
         if new is old:
             return True
         later = [ch.queue.cached_min.key for ch in node.items[i + 1 :]]
-        return _hides(later, (old.cached_min.key, new.cached_min.key))
+        return bool(later) and min(later) <= min(old.cached_min.key, new.cached_min.key)
 
     def _rebalance_child(self, node: _Node, idx: int) -> None:
         # merge the child with a neighbour; an over-full merge splits again

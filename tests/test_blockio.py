@@ -1,13 +1,17 @@
 """Unit tests for the block transfer accounting layer."""
 
+import random
+
 import pytest
 
+from skyq import blockio, cpqa
 from skyq.blockio import (
     IoAccount,
     IoConfig,
     IoCounters,
     PinError,
 )
+from skyq.skyline import SkylineIndex
 
 
 def test_config_validation():
@@ -74,7 +78,7 @@ def test_pin_tracking_and_peak():
     assert not a.is_pinned(1)
     # peak is a high-water mark, not the current level
     assert a.counters.peak_pinned_words == 300
-    assert a.pinned_words == 200
+    assert a._pinned == {2: 200}
 
 
 def test_pin_requires_registration():
@@ -123,19 +127,74 @@ def test_counters_serialization():
 def test_counters_snapshot_and_equality():
     a = IoAccount(IoConfig(B=64, M=4096, b=16))
     a.charge_read_words(64)
+
+    def fields(c):
+        return c.reads, c.writes, c.peak_pinned_words
+
     s1 = a.snapshot()
     s2 = a.snapshot()
-    assert s1 == s2
+    assert s1 is not s2 and fields(s1) == fields(s2) == (1, 0, 0)
     a.charge_read_words(64)
-    assert a.snapshot() != s1
+    # a snapshot does not follow the live counters
+    assert fields(a.snapshot()) == (2, 0, 0) and fields(s1) == (1, 0, 0)
 
 
-def test_reset_clears_ledger():
-    a = IoAccount(IoConfig(B=64, M=4096, b=16))
-    with a.operation():
-        a.charge_read_words(640)
-    a.reset()
-    assert a.counters.reads == 0
-    assert a.max_op_blocks == 0
-    assert a.last_op_blocks == 0
-    assert not a.violation
+def _built(acct, keys):
+    q = cpqa.empty(acct)
+    for k in keys:
+        q = cpqa.insert_and_attrite(q, k)
+    return q
+
+
+def _public_calls():
+    """Public call name -> (the account it charges, the call), on small
+    operands made here; the account is None for the bulk build, which
+    makes its own."""
+    acct = IoAccount(IoConfig(B=4, M=1 << 20, b=2))
+    low, high = _built(acct, range(0, 40)), _built(acct, range(60, 100))
+    mixed = cpqa.catenate_and_attrite(low, _built(acct, range(20, 50)))
+    assert mixed.Bq or mixed.D  # so bias has a step to take
+    rng = random.Random(5)
+    pts = list(zip(rng.sample(range(10_000), 300), rng.sample(range(10_000), 300)))
+    idx = SkylineIndex(pts, B=16, epsilon=0.5)
+    return {
+        "insert_and_attrite": (acct, lambda: cpqa.insert_and_attrite(low, 10.5)),
+        "catenate_and_attrite": (acct, lambda: cpqa.catenate_and_attrite(mixed, high)),
+        "delete_min": (acct, lambda: cpqa.delete_min(mixed)),
+        "drain": (acct, lambda: cpqa.drain(mixed)),
+        "drain below": (acct, lambda: cpqa.drain(mixed, below=30)),
+        "concat_sequence": (acct, lambda: cpqa.concat_sequence([low, high])),
+        "bias": (acct, lambda: cpqa.bias(mixed)),
+        "from_run": (acct, lambda: cpqa.from_run(acct, [3, 1])),
+        "SkylineIndex build": (None, lambda: SkylineIndex(pts, B=16, epsilon=0.5)),
+        "query3": (idx.account, lambda: idx.query3(2_000, 9_000, 1_000)),
+        "insert": (idx.account, lambda: idx.insert((10_001, 10_001))),
+        "delete": (idx.account, lambda: idx.delete(pts[7])),
+    }
+
+
+@pytest.mark.parametrize("name", list(_public_calls()))
+def test_every_public_call_is_one_operation_priced_by_last_op_blocks(monkeypatch, name):
+    """A public call that reads records closes exactly one outermost
+    operation, so last_op_blocks is all the call charged."""
+    acct, call = _public_calls()[name]
+    closed = []
+    exit_ = blockio._Operation.__exit__
+
+    def spy(self, *exc):
+        if self.account._op is self:
+            closed.append(self)
+        return exit_(self, *exc)
+
+    before = 0
+    if acct is not None:
+        # an operation of 1000 blocks first, so a stale last_op_blocks shows
+        with acct.operation():
+            acct.charge_read_blocks(1000)
+        before = acct.counters.reads + acct.counters.writes
+    monkeypatch.setattr(blockio._Operation, "__exit__", spy)
+    out = call()
+    if acct is None:
+        acct = out.account
+    assert len(closed) == 1
+    assert acct.last_op_blocks == acct.counters.reads + acct.counters.writes - before

@@ -37,20 +37,6 @@ ALLOWED = Counter(
         ("depth", "return self._depth"): 1,
         # the CLI prints an account's counters with to_text
         ("to_text", 'return "reads=%d writes=%d peak_pinned=%d" % ('): 1,
-        # Nothing in the program calls these; test_blockio and test_skyline
-        # do: the account's and the counters' reset, counter equality, and
-        # the words pinned now (ROADMAP item 7).
-        ("reset", "self.reads = 0"): 1,
-        ("reset", "self.writes = 0"): 1,
-        ("reset", "self.peak_pinned_words = 0"): 1,
-        ("reset", "self.counters.reset()"): 1,
-        ("reset", "self.max_op_blocks = 0"): 1,
-        ("reset", "self.last_op_blocks = 0"): 1,
-        ("reset", "self.violation = False"): 1,
-        ("__eq__", "if not isinstance(other, IoCounters):"): 1,
-        ("__eq__", "return NotImplemented"): 1,
-        ("__eq__", "return ("): 1,
-        ("pinned_words", "return self._pinned_words"): 1,
     }
 )
 

@@ -5,6 +5,7 @@ sequences against the list reference model with structural validation after
 every step.
 """
 
+import contextlib
 import itertools
 import math
 import random
@@ -354,6 +355,16 @@ REACH_WITNESSES = {
         ("ins", 0, 0, 27),
         ("ins", 0, 0, 20),
     ]),
+    # the same runs and 28, 27 leave a buffer deque with no dirty deque
+    # behind it; the twelfth pop's refill merges the head into the next
+    # clean record and biases, which folds the buffer deque clean
+    "_bias_step folds a buffer deque with no dirty deque behind it": (4, 16, [
+        ("run", 0, 0, range(4)),
+        ("run", 0, 0, range(3, 29)),
+        ("ins", 0, 0, 28),
+        ("ins", 0, 0, 27),
+        *[("del", 0, 0)] * 12,
+    ]),
     "_focal_records meets a last dirty deque of two records behind another": (2, 8, [
         ("run", 0, 2, range(10)),
         ("ins", 1, 0, 10),
@@ -502,7 +513,7 @@ def test_critical_records_of_a_version_never_handed_out():
     assert cpqa.critical_records(q) == (rc, rd)
     acct.register(rc.run, rc.size)
     acct.pin(rc.run)
-    assert acct.pinned_words == 2
+    assert acct._pinned == {rc.run: 2}
 
 
 def test_bring_in_makes_critical_records_free_for_the_operation():
@@ -591,6 +602,19 @@ def test_a_raising_operation_still_writes_back_and_lets_go_of_the_account():
     t.start()
     t.join()
     assert opened == [1]
+
+
+def test_a_suspended_operation_writes_back_free_of_charge():
+    # inserting 0 in front of the 20-word records that build made displaces
+    # them, and the write-back charges them 10 blocks; suspended, the same
+    # write-back charges nothing, so the operation's block total is 0
+    for suspend in (False, True):
+        acct = mk_account(b=4, B=4)
+        q = build(acct, range(1, 41))
+        writes = acct.counters.writes
+        with acct.suspended() if suspend else contextlib.nullcontext():
+            cpqa.insert_and_attrite(q, 0)
+        assert acct.counters.writes - writes == acct.last_op_blocks == (0 if suspend else 10)
 
 
 def test_surfacing_a_dirty_record_reads_it():
@@ -713,27 +737,31 @@ def popped(q, below=None):
 def drained_and_charged(b, script, below, mode, drain):
     """Build the script's version on a fresh account and drain it: at top
     level, inside an operation, or inside the operation that made its last
-    step. Returns the answer, the drain's reads, the writes, the largest
-    operation, the drained version, and the runs in memory when an
-    in-operation drain started (None at top level)."""
+    step. Returns the answer, the drain's reads, the writes, the drained
+    version, the runs in memory when the drain started (at top level, the
+    version's working set), and the account's last_op_blocks."""
     acct = mk_account(b=b, B=b)
     q = cpqa.empty(acct)
     for step in script[:-1]:
         q = apply_step(acct, q, step)
     if mode != "fresh":
         q = apply_step(acct, q, script[-1])
-    acct.reset()
+    counters = acct.counters
+    writes = counters.writes
     if mode == "top":
+        runs = {rec.run for rec in q.resident}
+        before = counters.reads
         got = drain(q, below)
-        return got, acct.counters.reads, acct.counters.writes, acct.max_op_blocks, q, None
-    with acct.operation() as scope:
-        if mode == "fresh":
-            q = apply_step(acct, q, script[-1])
-        runs = set(scope.runs)
-        before = acct.counters.reads
-        got = drain(q, below)
-        reads = acct.counters.reads - before
-    return got, reads, acct.counters.writes, acct.max_op_blocks, q, runs
+    else:
+        with acct.operation() as scope:
+            if mode == "fresh":
+                q = apply_step(acct, q, script[-1])
+            runs = set(scope.runs)
+            before = counters.reads
+            got = drain(q, below)
+    # the write-back at the scope's end charges only writes
+    reads = counters.reads - before
+    return got, reads, counters.writes - writes, q, runs, acct.last_op_blocks
 
 
 def physical(q):
@@ -759,12 +787,9 @@ def owed_reads(q, below, runs, B):
     return sum(-(-size // B) for run, size in holders.items() if run not in runs)
 
 
-@pytest.mark.parametrize("b", range(1, 9))
-def test_drain_charges_what_the_delete_min_chain_charges(monkeypatch, b):
-    """A top-level drain is the delete_min chain. Inside an operation it pops
-    nothing, gives the chain's answer and writes, and reads each record run
-    that holds a reported element once."""
-    rng = random.Random(b)
+def counting_drain(monkeypatch):
+    """A drain(q, below) that notes in pops how many delete_min calls each
+    call made."""
     calls = [0]
     pops = []
     delete_min = cpqa.delete_min
@@ -780,9 +805,14 @@ def test_drain_charges_what_the_delete_min_chain_charges(monkeypatch, b):
         return out
 
     monkeypatch.setattr(cpqa, "delete_min", counted)
+    return drain, pops
 
-    multi = 0
-    singles = set()
+
+def drain_cases(b):
+    """(script, version, live keys, drain bounds): inserts that make one
+    record of each size up to 5b words, then 30 drain_scripts; each drained
+    with no bound, below a random live key and below every key."""
+    rng = random.Random(b)
     scripts = [[("ins", 10 * k) for k in range(n)] for n in range(1, 5 * b + 1)]
     scripts += [drain_script(rng, b, rng.randrange(1, 5 * b + 1)) for _ in range(30)]
     for script in scripts:
@@ -790,24 +820,30 @@ def test_drain_charges_what_the_delete_min_chain_charges(monkeypatch, b):
         q = cpqa.empty(acct)
         for step in script:
             q = apply_step(acct, q, step)
-        if cpqa.record_count(q) == 1:
-            singles.add(cpqa.size_elements(q))
         keys = [e.key for e in cpqa.logical_elements(q)]
         belows = [None]
         if keys:
             belows += [rng.choice(keys), keys[0] - 1]
+        yield script, q, keys, belows
+
+
+@pytest.mark.parametrize("b", range(1, 9))
+def test_drain_charges_what_the_delete_min_chain_charges(monkeypatch, b):
+    """Inside an operation a drain pops nothing, gives the delete_min chain's
+    answer and writes, and reads each record run that holds a reported
+    element once."""
+    drain, pops = counting_drain(monkeypatch)
+    multi = 0
+    singles = set()
+    for script, q, keys, belows in drain_cases(b):
+        if cpqa.record_count(q) == 1:
+            singles.add(cpqa.size_elements(q))
         for below in belows:
             want_keys = [k for k in keys if below is None or k < below]
-            for mode in ("top", "open", "fresh"):
-                got, reads, writes, most, drained, runs = drained_and_charged(
-                    b, script, below, mode, drain
-                )
+            for mode in ("open", "fresh"):
+                got, reads, writes, drained, runs, _ = drained_and_charged(b, script, below, mode, drain)
                 want = drained_and_charged(b, script, below, mode, popped)
                 assert [e.key for e in got] == want_keys
-                if mode == "top":
-                    assert (got, reads, writes, most) == want[:4], (script, below)
-                    assert pops[-1] == len(want_keys)
-                    continue
                 assert (got, writes) == (want[0], want[2]), (script, below, mode)
                 assert pops[-1] == 0
                 assert reads == owed_reads(drained, below, runs, b), (script, below, mode)
@@ -821,6 +857,24 @@ def test_drain_charges_what_the_delete_min_chain_charges(monkeypatch, b):
         script = [("ins", 0), ("ins", 10)]
         assert drained_and_charged(1, script, 10, "open", drain)[1] == 1
         assert drained_and_charged(1, script, 10, "open", popped)[1] == 2
+
+
+@pytest.mark.parametrize("b", range(1, 9))
+def test_top_level_drain_is_one_operation_that_reads_what_it_reports(monkeypatch, b):
+    """At top level a drain is one operation on the version. It pops
+    nothing, gives the delete_min chain's answer and writes nothing, since
+    it hands the version back. It reads each record run that holds a
+    reported element and lies outside the version's working set once, never
+    more than the chain, and last_op_blocks is those reads."""
+    drain, pops = counting_drain(monkeypatch)
+    for script, _, keys, belows in drain_cases(b):
+        for below in belows:
+            got, reads, writes, drained, runs, last = drained_and_charged(b, script, below, "top", drain)
+            want, chain_reads, *_ = drained_and_charged(b, script, below, "top", popped)
+            assert got == want and [e.key for e in got] == [k for k in keys if below is None or k < below]
+            assert (pops[-1], writes) == (0, 0), (script, below)
+            assert reads == owed_reads(drained, below, runs, b) == last, (script, below)
+            assert reads <= chain_reads, (script, below)
 
 
 def test_logical_elements_sees_through_zombies():

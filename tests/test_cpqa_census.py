@@ -4,7 +4,8 @@ a fixed corpus, or is allowed below with the reason it is kept.
 The corpus is the reach witnesses of test_cpqa, the drift stream of
 test_cost_fingerprint at (B, b) = (16, 4) and (8, 2), two concat_sequence
 folds, and the hand cases of test_cpqa that reach the oversize catenations,
-construction and observation. A line tracer limited to cpqa.py records what runs. The census
+pops down to the empty version, a write-back under suspension, construction
+and observation. A line tracer limited to cpqa.py records what runs. The census
 leaves out docstrings, lines that only raise or _panic, and the diagnostics:
 _panic, validate, dump and __repr__. A line is named by its function and
 source text, not by its number, so edits elsewhere in cpqa leave the
@@ -48,6 +49,9 @@ CORPUS = (
     unit.test_concat_sequence_hands_back_a_prepared_operand,
     # _cat_small_right's two oversize fall-throughs
     *each_case(unit.test_short_right_operand_that_would_overfill_a_record_goes_general),
+    # pops down to the empty version, and a write-back under suspension
+    unit.test_delete_min_returns_increasing_sequence,
+    unit.test_a_suspended_operation_writes_back_free_of_charge,
     # construction and observation
     unit.test_empty_queue,
     unit.test_singleton,

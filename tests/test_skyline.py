@@ -285,7 +285,7 @@ def test_index_takes_no_pins_and_closes_every_operation():
     acct = idx.account
 
     def idle():
-        return acct.current_op() is None and acct.depth() == 0 and acct.pinned_words == 0 and not acct._registry
+        return acct.current_op() is None and acct.depth() == 0 and acct.counters.peak_pinned_words == 0 and not acct._registry
 
     assert idle()
     for x in xs[600:]:
@@ -302,7 +302,6 @@ def test_index_takes_no_pins_and_closes_every_operation():
         assert idle()
     assert idx.maxima() == naive_maxima(list(live.values()))
     assert idle()
-    assert acct.counters.peak_pinned_words == 0
 
 
 def test_second_thread_is_refused_while_the_account_is_held():
@@ -372,7 +371,7 @@ def test_concurrent_queries_answer_right_or_refuse():
     assert all(res is not None and res[2] == [] for res in results), results
     assert sum(res[0] for res in results) > 0
     assert sum(res[0] + res[1] for res in results) == 800
-    assert idx.account.pinned_words == 0
+    assert idx.account.counters.peak_pinned_words == 0
 
 
 STRUCTURAL_OUTCOMES = {
