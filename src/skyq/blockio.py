@@ -31,7 +31,8 @@ Cost model used by the queue layer:
   uses, so pinning one record pins every record that views the same run.
 
 Everything charges through an IoAccount; tests can temporarily suspend
-charging.
+charging. A suspended operation writes nothing back, so its words stay
+unflushed until a charged operation displaces them and pays.
 
 IoAccount.operation(*queues) is the one operation scope, and it owns the
 working sets and the write-back: the outermost scope seeds its operand
@@ -273,7 +274,8 @@ class _Operation:
             account._owner.release()
             return None
         try:
-            if self.held:
+            # suspended, nothing is flushed (see the module docstring)
+            if self.held and not account._suspend:
                 self._write_back()
         finally:
             account._op = None

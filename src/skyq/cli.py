@@ -1,5 +1,6 @@
-"""Command line front end: fuzz the queues against the reference lists,
-benchmark the skyline index, or hunt for structural violations.
+"""Command line front end: fuzz the queues against the reference lists, with
+structural checks every N operations if asked, or benchmark the skyline
+index.
 
 Exit codes: 0 clean, 2 equivalence mismatch, 3 structural violation.
 """
@@ -16,6 +17,34 @@ from .blockio import IoAccount, IoConfig
 from .skyline import SkylineIndex
 
 
+def apply_op(account: IoAccount, qs: list, op):
+    """Run one oracle.gen_ops operation on the queue slots qs, replacing the
+    slot it writes, and return its answer as oracle.naive_apply does on the
+    reference lists: a (key, payload) pair for find_min and delete_min, None
+    on an empty slot (which delete_min leaves as it is), the live pairs for
+    drain, and None for the rest."""
+    kind = op[0]
+    if kind == "singleton":
+        qs[op[1]] = cpqa.singleton(account, op[2])
+    elif kind == "insert":
+        qs[op[1]] = cpqa.insert_and_attrite(qs[op[2]], op[3])
+    elif kind == "catenate":
+        qs[op[1]] = cpqa.catenate_and_attrite(qs[op[2]], qs[op[3]])
+    elif kind == "delete_min":
+        if qs[op[2]].cached_min is None:
+            return None
+        el, qs[op[1]] = cpqa.delete_min(qs[op[2]])
+        return el.key, el.payload
+    elif kind == "find_min":
+        if qs[op[1]].cached_min is None:
+            return None
+        el = cpqa.find_min(qs[op[1]])
+        return el.key, el.payload
+    else:  # drain
+        return [(e.key, e.payload) for e in cpqa.drain(qs[op[1]])]
+    return None
+
+
 def run_equivalence(
     seed: int,
     count: int,
@@ -25,10 +54,12 @@ def run_equivalence(
     b: int | None = None,
     validate_every: int = 0,
 ):
-    """Drive identical operation streams through the queues and the lists.
+    """Drive one operation stream through the queues and the lists, compare
+    each answer, validate the op's target slot every validate_every ops (0:
+    never) and compare the final slots.
 
-    Returns a dict with ok, the first mismatch message (if any), operation
-    and violation counts, and the account counter snapshot.
+    Returns a dict with ok, the first mismatch message (if any), the
+    violations, the number of operations run and the account.
     """
     if b is None:
         b = max(1, round(B ** (2 / 3)))
@@ -38,64 +69,17 @@ def run_equivalence(
     nops = 0
     mismatch = None
     violations: list[str] = []
-
-    def fail(op, detail):
-        return "op %d %r: %s" % (nops, op, detail)
-
-    for op in oracle.gen_ops(seed, count, pool):
-        nops += 1
-        name = op[0]
-        if name == "singleton":
-            _, dst, key = op
-            qs[dst] = cpqa.singleton(account, key)
-            refs[dst] = [(key, None)]
-        elif name == "insert":
-            _, dst, src, key = op
-            qs[dst] = cpqa.insert_and_attrite(qs[src], key)
-            refs[dst] = oracle.naive_insert(refs[src], key)
-        elif name == "catenate":
-            _, dst, a, bb = op
-            qs[dst] = cpqa.catenate_and_attrite(qs[a], qs[bb])
-            refs[dst] = oracle.naive_catenate_and_attrite(refs[a], refs[bb])
-        elif name == "delete_min":
-            _, dst, src = op
-            if not refs[src]:
-                if qs[src].cached_min is not None:
-                    mismatch = fail(op, "queue nonempty, reference empty")
-                    break
-                continue
-            el, rest = cpqa.delete_min(qs[src])
-            want, ref_rest = oracle.naive_delete_min(refs[src])
-            if (el.key, el.payload) != want:
-                mismatch = fail(op, "delete_min %r != %r" % ((el.key, el.payload), want))
-                break
-            qs[dst] = rest
-            refs[dst] = ref_rest
-        elif name == "find_min":
-            _, src = op
-            if not refs[src]:
-                if qs[src].cached_min is not None:
-                    mismatch = fail(op, "queue nonempty, reference empty")
-                    break
-                continue
-            el = cpqa.find_min(qs[src])
-            if (el.key, el.payload) != refs[src][0]:
-                mismatch = fail(op, "find_min %r != %r" % ((el.key, el.payload), refs[src][0]))
-                break
-        else:  # drain
-            _, src = op
-            got = [(e.key, e.payload) for e in cpqa.drain(qs[src])]
-            if got != refs[src]:
-                mismatch = fail(op, "drain %d elements != %d" % (len(got), len(refs[src])))
-                break
+    for nops, op in enumerate(oracle.gen_ops(seed, count, pool), 1):
+        got = apply_op(account, qs, op)
+        want = oracle.naive_apply(refs, op)
+        if got != want:
+            mismatch = "op %d %r: %r != %r" % (nops, op, got, want)
+            break
         if validate_every and nops % validate_every == 0:
-            tgt = op[1] if len(op) > 1 else 0
-            bad = cpqa.validate(qs[tgt])
-            if bad:
-                violations.extend("op %d: %s" % (nops, msg) for msg in bad)
+            violations = ["op %d: %s" % (nops, msg) for msg in cpqa.validate(qs[op[1]])]
+            if violations:
                 break
-
-    if mismatch is None and not violations:
+    else:
         for i, q in enumerate(qs):
             got = [(e.key, e.payload) for e in cpqa.logical_elements(q)]
             if got != refs[i]:
@@ -106,34 +90,21 @@ def run_equivalence(
         "mismatch": mismatch,
         "violations": violations,
         "ops": nops,
-        "counters": account.snapshot(),
         "account": account,
-        "queues": qs,
     }
 
 
 def _cmd_run(args) -> int:
-    res = run_equivalence(args.seed, args.ops, args.pool, B=args.B, b=args.b)
-    c = res["counters"]
-    print("ops=%d %s" % (res["ops"], c.to_text()))
-    if res["ok"]:
-        print("ok")
-        return 0
-    print("MISMATCH: %s" % res["mismatch"])
-    return 2
-
-
-def _cmd_validate(args) -> int:
-    every = args.every if args.every > 0 else max(1, args.ops // 256)
-    res = run_equivalence(args.seed, args.ops, args.pool, B=args.B, b=args.b, validate_every=every)
+    res = run_equivalence(args.seed, args.ops, args.pool, B=args.B, b=args.b, validate_every=args.every)
+    print("ops=%d %s" % (res["ops"], res["account"].counters.to_text()))
     if res["violations"]:
         for v in res["violations"]:
             print(v)
         return 3
-    if not res["ok"]:
+    if res["mismatch"] is not None:
         print("MISMATCH: %s" % res["mismatch"])
         return 2
-    print("ops=%d no violations" % res["ops"])
+    print("ok")
     return 0
 
 
@@ -187,16 +158,8 @@ def main(argv=None) -> int:
     p.add_argument("--pool", type=int, default=64)
     p.add_argument("--B", type=int, default=64)
     p.add_argument("--b", type=int, default=None)
+    p.add_argument("--every", type=int, default=0, help="validate every N ops (0: never)")
     p.set_defaults(fn=_cmd_run)
-
-    p = sub.add_parser("validate", help="fuzz with periodic structural checks")
-    p.add_argument("--ops", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--pool", type=int, default=64)
-    p.add_argument("--B", type=int, default=64)
-    p.add_argument("--b", type=int, default=None)
-    p.add_argument("--every", type=int, default=0)
-    p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("bench", help="cost figures for the skyline index")
     p.add_argument("--n", type=int, default=10000)

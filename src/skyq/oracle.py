@@ -21,6 +21,7 @@ __all__ = [
     "naive_delete_min",
     "naive_maxima",
     "naive_query3",
+    "naive_apply",
     "gen_ops",
 ]
 
@@ -71,6 +72,31 @@ def naive_query3(points: list, x_lo, x_hi, y_min) -> list:
 
 
 # -- operation streams ---------------------------------------------------------
+
+
+def naive_apply(refs: list, op):
+    """Run one gen_ops operation on the reference lists refs, replacing the
+    list it writes, and return its answer: a (key, payload) pair for
+    find_min and delete_min, None on an empty list (which delete_min leaves
+    as it is), the live pairs for drain, and None for the rest."""
+    kind = op[0]
+    if kind == "singleton":
+        refs[op[1]] = [(op[2], None)]
+    elif kind == "insert":
+        refs[op[1]] = naive_insert(refs[op[2]], op[3])
+    elif kind == "catenate":
+        refs[op[1]] = naive_catenate_and_attrite(refs[op[2]], refs[op[3]])
+    elif kind == "delete_min":
+        if not refs[op[2]]:
+            return None
+        want, refs[op[1]] = naive_delete_min(refs[op[2]])
+        return want
+    elif kind == "find_min":
+        return refs[op[1]][0] if refs[op[1]] else None
+    else:  # drain
+        return list(refs[op[1]])
+    return None
+
 
 _OPS = (
     ("insert", 55),

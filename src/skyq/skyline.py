@@ -206,9 +206,7 @@ class SkylineIndex:
 
     def maxima(self) -> list:
         """The live maxima staircase, in increasing x."""
-        if self.root is None:
-            return []
-        return self.query3(self.root.xmin, self.root.xmax, float("-inf"))
+        return self.query3(float("-inf"), float("inf"), float("-inf"))
 
     # -- queries ---------------------------------------------------------------
 
@@ -216,11 +214,10 @@ class SkylineIndex:
         """Maxima among the points with x in [x_lo, x_hi] and y >= y_min."""
         if x_lo != x_lo or x_hi != x_hi or y_min != y_min:
             raise ValueError("NaN query bound: %r" % ((x_lo, x_hi, y_min),))
-        if self.root is None or x_lo > x_hi:
-            return []
         out: list = []
         with self.account.operation():
-            self._report(self.root, x_lo, x_hi, (-y_min, _ABOVE_ALL), out)
+            if self.root is not None and x_lo <= x_hi:
+                self._report(self.root, x_lo, x_hi, (-y_min, _ABOVE_ALL), out)
         out.reverse()
         return out
 
@@ -275,9 +272,9 @@ class SkylineIndex:
 
     def delete(self, point) -> bool:
         point = (point[0], point[1])
-        if self.root is None:
-            return False
         with self.account.operation():
+            if self.root is None:
+                return False
             nodes, route, price = self._path(point[0])
             self.account.charge_read_blocks(price)
             items = nodes[-1].items

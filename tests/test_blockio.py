@@ -157,6 +157,7 @@ def _public_calls():
     rng = random.Random(5)
     pts = list(zip(rng.sample(range(10_000), 300), rng.sample(range(10_000), 300)))
     idx = SkylineIndex(pts, B=16, epsilon=0.5)
+    empty = SkylineIndex()
     return {
         "insert_and_attrite": (acct, lambda: cpqa.insert_and_attrite(low, 10.5)),
         "catenate_and_attrite": (acct, lambda: cpqa.catenate_and_attrite(mixed, high)),
@@ -166,17 +167,24 @@ def _public_calls():
         "concat_sequence": (acct, lambda: cpqa.concat_sequence([low, high])),
         "bias": (acct, lambda: cpqa.bias(mixed)),
         "from_run": (acct, lambda: cpqa.from_run(acct, [3, 1])),
+        "from_run nothing kept": (acct, lambda: cpqa.from_run(acct, [])),
         "SkylineIndex build": (None, lambda: SkylineIndex(pts, B=16, epsilon=0.5)),
         "query3": (idx.account, lambda: idx.query3(2_000, 9_000, 1_000)),
+        "query3 empty band": (idx.account, lambda: idx.query3(5, 1, 0)),
+        "query3 empty index": (empty.account, lambda: empty.query3(0, 100, 0)),
+        "maxima": (idx.account, idx.maxima),
+        "maxima empty index": (empty.account, empty.maxima),
         "insert": (idx.account, lambda: idx.insert((10_001, 10_001))),
         "delete": (idx.account, lambda: idx.delete(pts[7])),
+        "delete empty index": (empty.account, lambda: empty.delete((1, 1))),
     }
 
 
 @pytest.mark.parametrize("name", list(_public_calls()))
 def test_every_public_call_is_one_operation_priced_by_last_op_blocks(monkeypatch, name):
-    """A public call that reads records closes exactly one outermost
-    operation, so last_op_blocks is all the call charged."""
+    """A public call closes exactly one outermost operation, also one that
+    returns before reading anything, so last_op_blocks is all the call
+    charged."""
     acct, call = _public_calls()[name]
     closed = []
     exit_ = blockio._Operation.__exit__

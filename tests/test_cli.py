@@ -24,10 +24,11 @@ def test_run_clean_exit_zero(capsys):
     assert "ops=2000" in out
 
 
-def test_validate_clean_exit_zero(capsys):
-    code, out, _ = run_cli(capsys, ["validate", "--seed", "4", "--ops", "1500", "--pool", "8"])
+def test_run_every_clean_exit_zero(capsys):
+    code, out, _ = run_cli(capsys, ["run", "--seed", "4", "--ops", "1500", "--pool", "8", "--every", "5"])
     assert code == 0
-    assert "no violations" in out
+    assert "ok" in out
+    assert "ops=1500" in out
 
 
 def test_bench_emits_json(capsys):

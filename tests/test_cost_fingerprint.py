@@ -22,6 +22,7 @@ import pytest
 
 from skyq import cpqa, oracle
 from skyq.blockio import IoAccount, IoConfig
+from skyq.cli import apply_op
 from skyq.pfdeque import PDeque
 from skyq.skyline import SkylineIndex
 
@@ -63,28 +64,26 @@ def drift_stream(seed, count, warm=60, dip=0.08, cat=0.35, dmin=0.2):
                 return k
 
     ops = []
+
+    def emit(op):
+        oracle.naive_apply(refs, op)
+        ops.append(op)
+
     for s in range(POOL):
         for _ in range(warm):
-            k = key_for(refs[s])
-            refs[s] = oracle.naive_insert(refs[s], k)
-            ops.append(("insert", s, s, k))
+            emit(("insert", s, s, key_for(refs[s])))
     while len(ops) < count:
         r = rng.random()
         dst = rng.randrange(POOL)
         if r < cat:
-            a, b = rng.randrange(POOL), rng.randrange(POOL)
-            refs[dst] = oracle.naive_catenate_and_attrite(refs[a], refs[b])
-            ops.append(("catenate", dst, a, b))
+            emit(("catenate", dst, rng.randrange(POOL), rng.randrange(POOL)))
         elif r < cat + dmin:
             s = rng.randrange(POOL)
             if refs[s]:
-                refs[dst] = refs[s][1:]
-                ops.append(("delete_min", dst, s))
+                emit(("delete_min", dst, s))
         else:
             s = rng.randrange(POOL)
-            k = key_for(refs[s])
-            refs[dst] = oracle.naive_insert(refs[s], k)
-            ops.append(("insert", dst, s, k))
+            emit(("insert", dst, s, key_for(refs[s])))
     return ops
 
 
@@ -98,12 +97,8 @@ def run_stream(B, b, ops, trail=None, shapes=None):
     for op in ops:
         r0, w0 = counters.reads, counters.writes
         dst = op[1]
-        if op[0] == "insert":
-            qs[dst] = cpqa.insert_and_attrite(qs[op[2]], op[3])
-        elif op[0] == "catenate":
-            qs[dst] = cpqa.catenate_and_attrite(qs[op[2]], qs[op[3]])
-        elif qs[op[2]].cached_min is not None:  # the fault can empty a slot early
-            qs[dst] = cpqa.delete_min(qs[op[2]])[1]
+        # the fault can empty a slot early; apply_op pops nothing there
+        apply_op(acct, qs, op)
         if trail is not None:
             trail.append((counters.reads - r0, counters.writes - w0, acct.last_op_blocks))
         if shapes is not None:
@@ -175,10 +170,10 @@ def catenate_unit_insert(Q, e):
 @pytest.mark.parametrize("B, b", [(64, 16), (16, 4), (8, 2), (32, 6), (8, 1), (8, 3), (256, 40)])
 def test_insert_grows_the_tail_as_the_unit_catenation_does(monkeypatch, B, b):
     ops = drift_stream(35, 2000)
-    inserts = {i for i, op in enumerate(ops) if op[0] == "insert"}
-    trail, shapes, units = [], [], set()
-    unit = cpqa._one_record
+    trail, shapes, units, inserts = [], [], set(), set()
+    unit, insert = cpqa._one_record, cpqa.insert_and_attrite
     monkeypatch.setattr(cpqa, "_one_record", lambda account, buf: units.add(len(trail)) or unit(account, buf))
+    monkeypatch.setattr(cpqa, "insert_and_attrite", lambda Q, e: inserts.add(len(trail)) or insert(Q, e))
     run_stream(B, b, ops, trail, shapes)
     direct = inserts - units  # the inserts that made no unit version
     want_trail, want_shapes, grew = [], [], set()

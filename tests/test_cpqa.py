@@ -606,15 +606,19 @@ def test_a_raising_operation_still_writes_back_and_lets_go_of_the_account():
 
 def test_a_suspended_operation_writes_back_free_of_charge():
     # inserting 0 in front of the 20-word records that build made displaces
-    # them, and the write-back charges them 10 blocks; suspended, the same
-    # write-back charges nothing, so the operation's block total is 0
+    # them, and the write-back charges them 10 blocks; suspended, the
+    # operation writes nothing back, so its block total is 0, and the same
+    # insert charged afterwards pays the 10 blocks instead of 0
     for suspend in (False, True):
         acct = mk_account(b=4, B=4)
         q = build(acct, range(1, 41))
-        writes = acct.counters.writes
-        with acct.suspended() if suspend else contextlib.nullcontext():
-            cpqa.insert_and_attrite(q, 0)
-        assert acct.counters.writes - writes == acct.last_op_blocks == (0 if suspend else 10)
+        charged = []
+        for quiet in (suspend, False):
+            writes = acct.counters.writes
+            with acct.suspended() if quiet else contextlib.nullcontext():
+                cpqa.insert_and_attrite(q, 0)
+            charged.append((acct.counters.writes - writes, acct.last_op_blocks))
+        assert charged == ([(0, 0), (10, 10)] if suspend else [(10, 10), (0, 0)])
 
 
 def test_surfacing_a_dirty_record_reads_it():

@@ -8,7 +8,7 @@ import random
 
 from skyq import cpqa, oracle
 from skyq.blockio import IoAccount, IoConfig
-from skyq.cli import main, run_equivalence
+from skyq.cli import apply_op, main, run_equivalence
 from skyq.cpqa import Element, Queue
 
 
@@ -27,21 +27,27 @@ def test_driver_multiple_seeds_small():
 
 
 def test_driver_detects_planted_fault(monkeypatch, capsys):
-    # the harness must be able to fail: delete_min reports a wrong element
+    # the harness must be able to fail: delete_min reports a wrong element,
+    # or reports the right one and loses the rest of the queue, so that the
+    # slot's next pop or query finds it empty where the reference is not
     real = cpqa.delete_min
 
     def wrong(Q):
         el, rest = real(Q)
         return Element(el.key + 1, el.payload), rest
 
-    monkeypatch.setattr(cpqa, "delete_min", wrong)
-    r = run_equivalence(5, 1500, 8, B=32, b=4)
-    assert not r["ok"]
-    assert "!=" in r["mismatch"]
-    assert r["violations"] == []
-    argv = ["--seed", "5", "--ops", "1500", "--pool", "8", "--B", "32", "--b", "4"]
-    assert main(["run", *argv]) == 2
-    assert "MISMATCH" in capsys.readouterr().out
+    def lossy(Q):
+        return real(Q)[0], cpqa.empty(Q.account)
+
+    for planted in (wrong, lossy):
+        monkeypatch.setattr(cpqa, "delete_min", planted)
+        r = run_equivalence(5, 1500, 8, B=32, b=4)
+        assert not r["ok"]
+        assert "!=" in r["mismatch"]
+        assert r["violations"] == []
+        argv = ["--seed", "5", "--ops", "1500", "--pool", "8", "--B", "32", "--b", "4"]
+        assert main(["run", *argv]) == 2
+        assert "MISMATCH" in capsys.readouterr().out
 
 
 def test_driver_detects_planted_violation(monkeypatch, capsys):
@@ -58,7 +64,7 @@ def test_driver_detects_planted_violation(monkeypatch, capsys):
     assert r["violations"]
     assert all("min-cache" in v for v in r["violations"])
     argv = ["--seed", "5", "--ops", "1500", "--pool", "8", "--B", "32", "--b", "4"]
-    assert main(["validate", *argv, "--every", "1"]) == 3
+    assert main(["run", *argv, "--every", "1"]) == 3
     assert "min-cache" in capsys.readouterr().out
 
 
@@ -69,33 +75,7 @@ def test_persistence_under_generated_stream():
     refs = [[] for _ in range(8)]
     kept = []
     for i, op in enumerate(oracle.gen_ops(99, 4000, pool=8)):
-        kind = op[0]
-        if kind == "singleton":
-            _, dst, key = op
-            pool[dst] = cpqa.singleton(acct, Element(key))
-            refs[dst] = [(key, None)]
-        elif kind == "insert":
-            _, dst, src, key = op
-            pool[dst] = cpqa.insert_and_attrite(pool[src], Element(key))
-            refs[dst] = oracle.naive_insert(refs[src], key)
-        elif kind == "catenate":
-            _, dst, a, b = op
-            pool[dst] = cpqa.catenate_and_attrite(pool[a], pool[b])
-            refs[dst] = oracle.naive_catenate_and_attrite(refs[a], refs[b])
-        elif kind == "delete_min":
-            _, dst, src = op
-            if refs[src]:
-                e, pool[dst] = cpqa.delete_min(pool[src])
-                (rk, _), refs[dst] = oracle.naive_delete_min(refs[src])
-                assert e.key == rk
-        elif kind == "find_min":
-            (_, src) = op
-            if refs[src]:
-                assert cpqa.find_min(pool[src]).key == refs[src][0][0]
-        elif kind == "drain":
-            (_, src) = op
-            got = cpqa.drain(pool[src])
-            assert [e.key for e in got] == [k for k, _ in refs[src]]
+        assert apply_op(acct, pool, op) == oracle.naive_apply(refs, op), (i, op)
         if i % 500 == 0:
             kept.append((pool[0], [k for k, _ in refs[0]]))
     with acct.suspended():

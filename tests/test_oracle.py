@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from skyq.oracle import (
     gen_ops,
+    naive_apply,
     naive_catenate_and_attrite,
     naive_delete_min,
     naive_find_min,
@@ -155,3 +156,19 @@ def test_gen_ops_shape():
         if op[0] == "catenate":
             _, dst, a, b = op
             assert 0 <= dst < 16 and 0 <= a < 16 and 0 <= b < 16
+
+
+def test_naive_apply_answers_every_op_kind():
+    refs = [[], [(5, None)], []]
+    assert naive_apply(refs, ("find_min", 0)) is None
+    assert naive_apply(refs, ("delete_min", 2, 0)) is None
+    assert refs == [[], [(5, None)], []]  # an empty pop writes nothing
+    assert naive_apply(refs, ("singleton", 0, 3)) is None
+    assert naive_apply(refs, ("insert", 2, 0, 7)) is None
+    assert naive_apply(refs, ("catenate", 0, 2, 1)) is None
+    assert refs == [[(3, None), (5, None)], [(5, None)], [(3, None), (7, None)]]
+    assert naive_apply(refs, ("find_min", 2)) == (3, None)
+    assert naive_apply(refs, ("delete_min", 1, 2)) == (3, None)
+    assert refs[1] == [(7, None)] and refs[2] == [(3, None), (7, None)]
+    assert naive_apply(refs, ("drain", 0)) == [(3, None), (5, None)]
+    assert refs[0] == [(3, None), (5, None)]  # drain writes nothing
